@@ -3,9 +3,16 @@ positivity-preserving adaptive integrator.
 
 The field of a network with rates k is  sum_e k_e x^(y_src(e)) (y_tgt(e) -
 y_src(e)), accumulated left-to-right over the edge list so repeated runs
-reproduce bit-identical floating-point results.  Rate schedules are
-piecewise constant; when a schedule carries a :class:`RateBand`, every
-queried value must stay inside [epsilon, 1/epsilon].
+reproduce bit-identical floating-point results.  The field reads the
+network's ``kinetics`` arrays: each monomial is a product along one row of
+``Ys``, and the unbuffered ``np.add.at`` adds the per-edge terms into a
+zero vector one edge at a time, exactly as a loop over the edges would.
+``np.add.reduce`` over the edge axis would not: on a one-species network
+with eight or more edges it sums pairwise and changes the last bits.
+
+Rate schedules are piecewise constant; when a schedule carries a
+:class:`RateBand`, every queried value must stay inside [epsilon,
+1/epsilon].
 
 The integrator is an explicit Runge-Kutta-Fehlberg pair: it propagates the
 4th-order solution and controls the step with the embedded 5th-order
@@ -16,7 +23,7 @@ never clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,19 +130,18 @@ class RateSchedule:
         return inside
 
 
-def _as_schedule(rates_or_schedule, net: ReactionNetwork) -> RateSchedule:
-    n_edges = len(net.reactions)
-    if rates_or_schedule is None:
-        rates_or_schedule = [r.rate for r in net.reactions]
-    if isinstance(rates_or_schedule, RateSchedule):
-        if rates_or_schedule.n_edges != n_edges:
-            raise DimensionMismatch("schedule width does not match edge count")
-        return rates_or_schedule
-    rates = np.asarray(rates_or_schedule, dtype=float)
-    if rates.shape != (n_edges,):
+def _edge_rates(net: ReactionNetwork, rates) -> np.ndarray:
+    """One positive rate per edge: the network's stored rates when
+    ``rates`` is None, otherwise ``rates`` checked against the edge count."""
+    if rates is None:
+        return net.kinetics.k
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != net.kinetics.k.shape:
         raise DimensionMismatch(
-            f"expected {n_edges} rates, got shape {rates.shape}")
-    return RateSchedule.constant(rates)
+            f"expected {len(net.reactions)} rates, got shape {rates.shape}")
+    if np.any(rates <= 0.0):
+        raise ValueError("rates must be strictly positive")
+    return rates
 
 
 def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
@@ -146,19 +152,11 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
         raise DimensionMismatch(f"state has shape {x.shape}, species {net.n}")
     if np.any(x <= 0.0):
         raise ValueError("state must be strictly positive")
-    if rates is None:
-        rates = np.array([r.rate for r in net.reactions])
-    else:
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != (len(net.reactions),):
-            raise DimensionMismatch(
-                f"expected {len(net.reactions)} rates, got {rates.shape}")
-    ymat = net.complex_matrix()
-    out = np.zeros(net.n)
-    for r, k in zip(net.reactions, rates):
-        mono = float(np.prod(x ** ymat[r.source]))
-        out += (k * mono) * (ymat[r.target] - ymat[r.source])
-    return out
+    kin = net.kinetics
+    terms = kin.flows(_edge_rates(net, rates), x)[:, None] * kin.D
+    out = np.zeros((1, net.n))
+    np.add.at(out, np.zeros(len(terms), dtype=np.intp), terms)
+    return out[0]
 
 
 def k_variable_field(net: ReactionNetwork, schedule: RateSchedule, t: float,
@@ -190,13 +188,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     conserved_residual: float
-
-    def to_csv(self) -> str:
-        n = self.states.shape[1]
-        lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join(f"{v:.17g}" for v in [t, *row]))
-        return "\n".join(lines) + "\n"
 
 
 # Fehlberg 4(5) tableau
@@ -250,7 +241,11 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
         raise DimensionMismatch(f"x0 has shape {x0.shape}, species {net.n}")
     if np.any(x0 <= 0.0):
         raise ValueError("x0 must be strictly positive")
-    schedule = _as_schedule(rates_or_schedule, net)
+    schedule = rates_or_schedule
+    if not isinstance(schedule, RateSchedule):
+        schedule = RateSchedule.constant(_edge_rates(net, schedule))
+    elif schedule.n_edges != len(net.reactions):
+        raise DimensionMismatch("schedule width does not match edge count")
 
     times = [0.0]
     states = [x0.copy()]

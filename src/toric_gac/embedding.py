@@ -81,7 +81,7 @@ def build_embedding(net: ReactionNetwork, band: RateBand) -> EmbeddingCertificat
     cover = cycle_cover(net)  # raises NotWeaklyReversible
     m_max = max(cover.multiplicity.values()) if cover.multiplicity else 1
     eps_i = band.epsilon / m_max
-    ymat = net.complex_matrix()
+    ymat = net.kinetics.Y
     vectors = []
     delta0 = 0.0
     for cyc in cover.cycles:
@@ -131,7 +131,7 @@ def phi_coefficients(net: ReactionNetwork, cycle, rates, x,
     if sorted(cycle) != sorted(ordering.order):
         raise OrderingMismatch("ordering covers a different vertex set")
     pos = {v: i for i, v in enumerate(ordering.order)}
-    ymat = net.complex_matrix()
+    ymat = net.kinetics.Y
     x = np.asarray(x, dtype=float)
     phi = np.zeros(r - 1)
     for i in range(r):
@@ -148,7 +148,7 @@ def phi_coefficients(net: ReactionNetwork, cycle, rates, x,
 
 def ordered_basis(net: ReactionNetwork, ordering: CycleOrdering) -> np.ndarray:
     """Rows v_{l+1} - v_l of the ordering's difference basis."""
-    ymat = net.complex_matrix()
+    ymat = net.kinetics.Y
     o = ordering.order
     return np.array([ymat[o[l + 1]] - ymat[o[l]] for l in range(len(o) - 1)])
 

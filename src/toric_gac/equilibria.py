@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import DimensionMismatch, mass_action_field
+from .dynamics import DimensionMismatch, _edge_rates, mass_action_field
 from .network import (
     NotWeaklyReversible,
     ReactionNetwork,
@@ -78,33 +78,21 @@ class EquilibriumReport:
         }
 
 
-def _rates_array(net: ReactionNetwork, rates) -> np.ndarray:
-    if rates is None:
-        return np.array([r.rate for r in net.reactions], dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (len(net.reactions),):
-        raise DimensionMismatch(
-            f"expected {len(net.reactions)} rates, got shape {rates.shape}")
-    if np.any(rates <= 0.0):
-        raise ValueError("rates must be strictly positive")
-    return rates
-
-
 def vertex_balance_residual(net: ReactionNetwork, rates, x0) -> np.ndarray:
-    """Per-vertex inflow minus outflow of mass-action flux at x0."""
+    """Per-vertex inflow minus outflow of mass-action flux at x0.  Each
+    edge's flow is added to its target and subtracted from its source in
+    edge order (``np.add.at`` is unbuffered), as a loop over the edges
+    would."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.n,):
         raise DimensionMismatch(f"state has shape {x0.shape}, species {net.n}")
     if np.any(x0 <= 0.0):
         raise ValueError("state must be strictly positive")
-    k = _rates_array(net, rates)
-    ymat = net.complex_matrix()
-    mono = np.array([float(np.prod(x0 ** ymat[i])) for i in range(net.m)])
+    kin = net.kinetics
+    flow = kin.flows(_edge_rates(net, rates), x0)
     out = np.zeros(net.m)
-    for r, ke in zip(net.reactions, k):
-        flow = ke * mono[r.source]
-        out[r.target] += flow
-        out[r.source] -= flow
+    np.add.at(out, np.column_stack([kin.target, kin.source]).ravel(),
+              np.column_stack([flow, -flow]).ravel())
     return out
 
 
@@ -114,12 +102,10 @@ def is_detailed_balanced(net: ReactionNetwork, rates, x0,
     Only defined on reversible networks."""
     if not is_reversible(net):
         raise NotReversible("detailed balance requires a reversible network")
-    x0 = np.asarray(x0, dtype=float)
-    k = _rates_array(net, rates)
-    ymat = net.complex_matrix()
-    flux = {}
-    for r, ke in zip(net.reactions, k):
-        flux[(r.source, r.target)] = ke * float(np.prod(x0 ** ymat[r.source]))
+    kin = net.kinetics
+    flow = kin.flows(_edge_rates(net, rates), np.asarray(x0, dtype=float))
+    flux = dict(zip(zip(kin.source.tolist(), kin.target.tolist()),
+                    flow.tolist()))
     for (u, v), fwd in flux.items():
         back = flux[(v, u)]
         if abs(fwd - back) > tol * max(1.0, abs(fwd), abs(back)):
@@ -131,9 +117,10 @@ def is_detailed_balanced(net: ReactionNetwork, rates, x0,
 # tree constants
 
 def _class_edges(net: ReactionNetwork, members: tuple[int, ...], k: np.ndarray):
-    mset = set(members)
-    return [(r.source, r.target, float(ke))
-            for r, ke in zip(net.reactions, k) if r.source in mset]
+    kin = net.kinetics
+    inside = np.isin(kin.source, members)
+    return list(zip(kin.source[inside].tolist(), kin.target[inside].tolist(),
+                    k[inside].tolist()))
 
 
 def _intree_weights_enumerate(members, edges) -> dict[int, float]:
@@ -203,7 +190,7 @@ def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
     classes of at most 8 vertices, determinant minors above."""
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("tree constants need a weakly reversible network")
-    k = _rates_array(net, rates)
+    k = _edge_rates(net, rates)
     classes = linkage_classes(net)
     K = [0.0] * net.m
     for members in classes:
@@ -240,21 +227,15 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
     """
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("balance solve needs a weakly reversible network")
-    k = _rates_array(net, rates)
+    k = _edge_rates(net, rates)
     tc = tree_constants(net, k)
     logK = np.log(np.array(tc.K))
     if not np.all(np.isfinite(logK)):
         raise SingularSystem("tree constants overflow or underflow the log scale")
-    ymat = net.complex_matrix()
-    n_classes = len(tc.classes)
-    class_of = {}
+    A = np.zeros((net.m, net.n + len(tc.classes)))
+    A[:, :net.n] = net.kinetics.Y
     for ci, members in enumerate(tc.classes):
-        for v in members:
-            class_of[v] = ci
-    A = np.zeros((net.m, net.n + n_classes))
-    for v in range(net.m):
-        A[v, :net.n] = ymat[v]
-        A[v, net.n + class_of[v]] = 1.0
+        A[list(members), net.n + ci] = 1.0
     try:
         sol, *_ = np.linalg.lstsq(A, logK, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -272,7 +253,7 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
 
 def report_for(net: ReactionNetwork, rates, x0) -> EquilibriumReport:
     """Report for a user-supplied equilibrium candidate."""
-    k = _rates_array(net, rates)
+    k = _edge_rates(net, rates)
     k_norm = k / float(np.max(k))
     resid = vertex_balance_residual(net, k_norm, np.asarray(x0, dtype=float))
     return EquilibriumReport(tuple(float(v) for v in np.asarray(x0, dtype=float)),

@@ -14,7 +14,9 @@ Text format::
     complex (0.5, 1, 0) -> complex (0, 0, 1) ; k=3
 
 ``#`` starts a comment.  ``<->`` expands to two edges (forward first).
-Complexes are deduplicated by exact vector equality.
+Complexes are deduplicated by exact vector equality.  Field, balance and
+stoichiometry code reads a network's edge data from one read-only array
+view, ``ReactionNetwork.kinetics``, built on first access and then cached.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +62,6 @@ class Complex:
     id: int
     y: tuple[float, ...]
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.y, dtype=float)
-
 
 @dataclass(frozen=True)
 class Reaction:
@@ -77,6 +76,22 @@ class Reaction:
             raise ValueError("reaction source and target must differ")
         if not self.rate > 0.0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Kinetics:
+    """Edge data of a network as read-only arrays, rows in edge order."""
+
+    Y: np.ndarray       # (m, n) exponent vectors of the complexes
+    source: np.ndarray  # (E,) source complex ids
+    target: np.ndarray  # (E,) target complex ids
+    Ys: np.ndarray      # (E, n) source exponents Y[source]
+    D: np.ndarray       # (E, n) reaction vectors Y[target] - Ys
+    k: np.ndarray       # (E,) stored rates
+
+    def flows(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Per-edge mass-action flux k_e x^(y_src(e))."""
+        return k * np.prod(x ** self.Ys, axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,11 +126,22 @@ class ReactionNetwork:
     def m(self) -> int:
         return len(self.complexes)
 
+    @cached_property  # the dataclass has no slots, so the cache can live in __dict__
+    def kinetics(self) -> _Kinetics:
+        """Edge data as read-only arrays, built on first access."""
+        Y = np.array([c.y for c in self.complexes], float).reshape(self.m, self.n)
+        source = np.array([r.source for r in self.reactions], dtype=np.intp)
+        target = np.array([r.target for r in self.reactions], dtype=np.intp)
+        k = np.array([r.rate for r in self.reactions], dtype=float)
+        Ys = Y[source]
+        arrays = (Y, source, target, Ys, Y[target] - Ys, k)
+        for a in arrays:
+            a.flags.writeable = False
+        return _Kinetics(*arrays)
+
     def complex_matrix(self) -> np.ndarray:
         """(m, n) array whose rows are the exponent vectors."""
-        if self.m == 0:
-            return np.zeros((0, self.n))
-        return np.array([c.y for c in self.complexes], dtype=float)
+        return self.kinetics.Y
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(r.source, r.target) for r in self.reactions]
@@ -456,10 +482,7 @@ def is_reversible(net: ReactionNetwork) -> bool:
 def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, int]:
     """Orthonormal basis (n, s) of span{y_target - y_source} and its
     dimension s.  Empty networks give an (n, 0) basis."""
-    if not net.reactions:
-        return np.zeros((net.n, 0)), 0
-    ymat = net.complex_matrix()
-    diffs = np.array([ymat[r.target] - ymat[r.source] for r in net.reactions])
+    diffs = net.kinetics.D
     u, sv, vt = np.linalg.svd(diffs, full_matrices=False)
     if sv.size == 0:
         return np.zeros((net.n, 0)), 0

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from toric_gac.corpus import load
+from toric_gac.corpus import NETWORK_TEXTS, load
 from toric_gac.dynamics import (
     DimensionMismatch,
     EmptyTrajectory,
@@ -26,6 +26,7 @@ from toric_gac.dynamics import (
     mass_action_field,
     persistence_metrics,
 )
+from toric_gac.jsonio import trajectory_csv
 from toric_gac.network import parse_network
 
 
@@ -67,6 +68,39 @@ def test_field_input_validation():
         mass_action_field(net, [1.0], np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         mass_action_field(net, None, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        mass_action_field(net, [1.0, 0.0], np.array([1.0, 1.0]))
+
+
+def per_edge_field(net, rates, x):
+    """Oracle: the field as a Python loop over the edges, accumulated
+    left-to-right into a zero vector."""
+    ymat = np.array([c.y for c in net.complexes], dtype=float)
+    out = np.zeros(net.n)
+    for r, k in zip(net.reactions, rates):
+        mono = float(np.prod(x ** ymat[r.source]))
+        out += (k * mono) * (ymat[r.target] - ymat[r.source])
+    return out
+
+
+# one species, 20 edges: a regrouped (pairwise) sum changes the last bits
+ONE_SPECIES_DENSE = "species A\n" + "\n".join(
+    f"complex ({i}) -> complex ({j}) ; k={1 + i + 0.25 * j}"
+    for i in range(5) for j in range(5) if i != j)
+
+
+def test_field_bit_identical_to_per_edge_loop():
+    rng = np.random.default_rng(2024)
+    nets = {name: load(name) for name in NETWORK_TEXTS}
+    nets["one_species_dense"] = parse_network(ONE_SPECIES_DENSE)
+    for name, net in nets.items():
+        for _ in range(200):
+            x = np.exp(rng.uniform(-8.0, 8.0, size=net.n))
+            rates = np.exp(rng.uniform(-2.0, 2.0, size=len(net.reactions)))
+            got = mass_action_field(net, rates, x)
+            want = per_edge_field(net, rates, x)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 def test_k_variable_field_bitwise_consistent():
@@ -255,7 +289,7 @@ def test_persistence_metrics_trailing_window():
 def test_csv_export_round_trips_exactly():
     net = load("rev_pair")
     traj = integrate(net, [1.0, 1.0], [2.0, 1.0], 1.0)
-    text = traj.to_csv()
+    text = trajectory_csv(traj.times, traj.states)
     lines = text.strip().split("\n")
     assert lines[0] == "t,x1,x2"
     assert len(lines) == 1 + traj.times.size

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from toric_gac.corpus import EMBEDDING_CORPUS, load
+from toric_gac.corpus import EMBEDDING_CORPUS, NETWORK_TEXTS, load
 from toric_gac.dynamics import DimensionMismatch, mass_action_field
 from toric_gac.equilibria import (
     EquilibriumReport,
@@ -89,6 +89,18 @@ def class_edge_lists(net, rates=None):
     return out
 
 
+def per_edge_residual(net, rates, x0):
+    """Oracle: vertex balance as a Python loop over the edges."""
+    ymat = np.array([c.y for c in net.complexes], dtype=float)
+    mono = np.array([float(np.prod(x0 ** ymat[i])) for i in range(net.m)])
+    out = np.zeros(net.m)
+    for r, ke in zip(net.reactions, rates):
+        flow = ke * mono[r.source]
+        out[r.target] += flow
+        out[r.source] -= flow
+    return out
+
+
 def golden_section(f, lo, hi, iters=200):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -114,6 +126,19 @@ def test_residual_triangle_at_ones():
     net = load("triangle")
     r = vertex_balance_residual(net, [1.0, 1.0, 1.0], [1.0, 1.0])
     assert np.allclose(r, 0.0, atol=1e-14)
+
+
+def test_residual_bit_identical_to_per_edge_loop():
+    rng = np.random.default_rng(2025)
+    for name in NETWORK_TEXTS:
+        net = load(name)
+        for _ in range(200):
+            x0 = np.exp(rng.uniform(-8.0, 8.0, size=net.n))
+            rates = np.exp(rng.uniform(-2.0, 2.0, size=len(net.reactions)))
+            got = vertex_balance_residual(net, rates, x0)
+            want = per_edge_residual(net, rates, x0)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 def test_residual_pair_examples():

@@ -6,12 +6,15 @@ Oracles used here and nowhere in the library:
   * direct edge bookkeeping for cycle-cover soundness.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_gac import corpus
+from toric_gac.dynamics import mass_action_field
 from toric_gac.network import (
     Complex,
     CycleCover,
@@ -286,6 +289,34 @@ def test_stoichiometric_subspace_orthonormal_and_rank():
         # every difference vector lies in the span
         resid = diffs - (diffs @ basis) @ basis.T
         assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_kinetics_view_is_cached_and_read_only():
+    net = network_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0)],
+                             rates=[1.0, 2.0, 3.0, 0.5])
+    kin = net.kinetics
+    assert net.kinetics is kin
+    assert np.array_equal(kin.Y, [[0.0, 0.0], [1.0, 1.0], [2.0, 4.0]])
+    assert np.array_equal(kin.source, [0, 1, 2, 1])
+    assert np.array_equal(kin.target, [1, 2, 0, 0])
+    assert np.array_equal(kin.Ys, kin.Y[kin.source])
+    assert np.array_equal(kin.D, kin.Y[kin.target] - kin.Y[kin.source])
+    assert np.array_equal(kin.k, [1.0, 2.0, 3.0, 0.5])
+    for f in dataclasses.fields(kin):
+        arr = getattr(kin, f.name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_kinetics_view_without_reactions():
+    net = ReactionNetwork(("A", "B"), (), ())
+    assert net.kinetics.Ys.shape == (0, 2)
+    assert net.kinetics.D.shape == (0, 2)
+    f = mass_action_field(net, None, np.array([1.0, 2.0]))
+    assert np.array_equal(f, [0.0, 0.0])
+    assert not np.any(np.signbit(f))
+    basis, s = stoichiometric_subspace(net)
+    assert basis.shape == (2, 0) and s == 0
 
 
 def test_deficiency_examples():
