@@ -1,5 +1,6 @@
 """Mass-action vector fields, time-varying rate schedules, and a
-positivity-preserving adaptive integrator.
+positivity-preserving adaptive integrator that advances a batch of
+trajectories at once.
 
 The field of a network with rates k is  sum_e k_e x^(y_src(e)) (y_tgt(e) -
 y_src(e)), accumulated left-to-right over the edge list so repeated runs
@@ -10,6 +11,11 @@ zero vector one edge at a time, exactly as a loop over the edges would.
 ``np.add.reduce`` over the edge axis would not: on a one-species network
 with eight or more edges it sums pairwise and changes the last bits.
 
+Shapes.  A state is an (n,) vector and a batch is a (B, n) array; the field
+of a batch takes one shared (E,) rate vector or one (B, E) row of rates per
+state and returns (B, n).  A single state is the B = 1 case of the same
+code, so each row of a batch is bit-identical to a single-state call.
+
 Rate schedules are piecewise constant; when a schedule carries a
 :class:`RateBand`, every queried value must stay inside [epsilon,
 1/epsilon].
@@ -17,7 +23,17 @@ Rate schedules are piecewise constant; when a schedule carries a
 The integrator is an explicit Runge-Kutta-Fehlberg pair: it propagates the
 4th-order solution and controls the step with the embedded 5th-order
 estimate.  Steps that would leave the open positive orthant are halved,
-never clamped.
+never clamped.  ``integrate`` advances every row of a (B, n) start batch
+together; a single start is the B = 1 case.  Rows share the schedule
+breakpoints (``RateSchedule.random`` with one period and horizon gives the
+same ones), so the batch is cut into the same pieces, but each row keeps
+its own time, step size, accept/reject decision, positivity halvings,
+minimum-step and step-budget checks, and conserved residual.  A row that
+fails stops alone and the other rows run on.  The step-size factor
+``0.9 * err ** -0.2`` is computed per row with Python floats: numpy's
+vectorised power differs from the scalar one in the last bit for some
+arguments (about 5% of them with AVX-512 kernels), and a factor that
+depended on the batch layout would make a row differ from its B = 1 run.
 """
 
 from __future__ import annotations
@@ -130,33 +146,41 @@ class RateSchedule:
         return inside
 
 
-def _edge_rates(net: ReactionNetwork, rates) -> np.ndarray:
+def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
+                ) -> np.ndarray:
     """One positive rate per edge: the network's stored rates when
-    ``rates`` is None, otherwise ``rates`` checked against the edge count."""
+    ``rates`` is None, otherwise ``rates`` checked against the edge count.
+    With ``rows`` given, one (rows, E) row of rates per state also fits."""
     if rates is None:
         return net.kinetics.k
     rates = np.asarray(rates, dtype=float)
-    if rates.shape != net.kinetics.k.shape:
+    edges = net.kinetics.k.shape
+    if rates.shape != edges and (rows is None or rates.shape != (rows, *edges)):
         raise DimensionMismatch(
             f"expected {len(net.reactions)} rates, got shape {rates.shape}")
-    if np.any(rates <= 0.0):
+    if (rates <= 0.0).any():
         raise ValueError("rates must be strictly positive")
     return rates
 
 
 def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
-    """Field value at a strictly positive state.  ``rates`` may be None to
-    use the rates stored on the network's reactions."""
+    """Field value at a strictly positive state (n,), or at each row of a
+    (B, n) batch.  ``rates`` may be None to use the rates stored on the
+    network's reactions; a batch also takes one (B, E) row of rates per
+    state."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.n,):
-        raise DimensionMismatch(f"state has shape {x.shape}, species {net.n}")
-    if np.any(x <= 0.0):
+    n = net.n
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise DimensionMismatch(f"state has shape {x.shape}, species {n}")
+    if (x <= 0.0).any():
         raise ValueError("state must be strictly positive")
     kin = net.kinetics
-    terms = kin.flows(_edge_rates(net, rates), x)[:, None] * kin.D
-    out = np.zeros((1, net.n))
-    np.add.at(out, np.zeros(len(terms), dtype=np.intp), terms)
-    return out[0]
+    X = x.reshape(-1, n)
+    k = _edge_rates(net, rates, len(X) if x.ndim == 2 else None)
+    terms = kin.flows(k, X)[:, :, None] * kin.D
+    out = np.zeros(X.shape)
+    np.add.at(out, np.arange(len(X)).repeat(len(kin.k)), terms.reshape(-1, n))
+    return out if x.ndim == 2 else out[0]
 
 
 def k_variable_field(net: ReactionNetwork, schedule: RateSchedule, t: float,
@@ -200,115 +224,201 @@ _W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _W5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-class _PositivityViolation(Exception):
-    pass
+_STAGES = ((), _B2, _B3, _B4, _B5, _B6)
 
 
-def _rkf_step(f, x, h):
-    def stage(arg):
-        if np.any(arg <= 0.0):
-            raise _PositivityViolation
-        return f(arg)
-
-    k1 = stage(x)
-    k2 = stage(x + h * (_B2[0] * k1))
-    k3 = stage(x + h * (_B3[0] * k1 + _B3[1] * k2))
-    k4 = stage(x + h * (_B4[0] * k1 + _B4[1] * k2 + _B4[2] * k3))
-    k5 = stage(x + h * (_B5[0] * k1 + _B5[1] * k2 + _B5[2] * k3 + _B5[3] * k4))
-    k6 = stage(x + h * (_B6[0] * k1 + _B6[1] * k2 + _B6[2] * k3
-                        + _B6[3] * k4 + _B6[4] * k5))
-    ks = (k1, k2, k3, k4, k5, k6)
+def _rkf_step(net, rates, x, h):
+    """One Fehlberg step of every row of ``x`` with its own ``rates`` row
+    and step ``h`` (a column).  A row whose stage argument leaves the open
+    positive orthant drops out before its field is evaluated.  Returns the
+    indices of the rows that stayed positive and their 4th- and 5th-order
+    solutions."""
+    kept = np.arange(len(x))
+    ks = []
+    for coef in _STAGES:
+        arg = x
+        if coef:
+            acc = coef[0] * ks[0]
+            for c, k in zip(coef[1:], ks[1:]):
+                acc = acc + c * k
+            arg = x + h * acc
+        if (arg <= 0.0).any():
+            ok = ~(arg <= 0.0).any(axis=1)
+            kept, x, h, rates, arg = kept[ok], x[ok], h[ok], rates[ok], arg[ok]
+            ks = [k[ok] for k in ks]
+            if not kept.size:
+                return kept, x, x
+        ks.append(mass_action_field(net, rates, arg))
     x4 = x + h * sum(w * k for w, k in zip(_W4, ks))
     x5 = x + h * sum(w * k for w, k in zip(_W5, ks))
-    return x4, x5
+    return kept, x4, x5
+
+
+def _row_schedules(net: ReactionNetwork, rates_or_schedule,
+                   rows: int) -> list[RateSchedule]:
+    """One schedule per row: a sequence of schedules is taken row by row,
+    anything else (None, a rate vector, one schedule) is shared."""
+    given = rates_or_schedule
+    if isinstance(given, (list, tuple)) and given \
+            and isinstance(given[0], RateSchedule):
+        if len(given) != rows:
+            raise DimensionMismatch(
+                f"{len(given)} schedules for {rows} start states")
+        schedules = list(given)
+    else:
+        if not isinstance(given, RateSchedule):
+            given = RateSchedule.constant(_edge_rates(net, given))
+        schedules = [given] * rows
+    for sched in schedules:
+        if sched.n_edges != len(net.reactions):
+            raise DimensionMismatch("schedule width does not match edge count")
+        if not np.array_equal(sched.times, schedules[0].times):
+            raise ValueError("batched schedules must share their breakpoints")
+    return schedules
 
 
 def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
-              opts: IntegratorOptions | None = None) -> Trajectory:
+              opts: IntegratorOptions | None = None):
     """Integrate dx/dt = field(t, x) on [0, t_end] from a positive state.
 
     Piecewise-constant schedules are integrated piece by piece so the
     switch times are hit exactly.  Raises :class:`InvalidHorizon` for
     t_end <= 0 and :class:`StepSizeUnderflow` when positivity or accuracy
     cannot be maintained above the minimum step.
+
+    A (B, n) ``x0`` integrates B trajectories at once, under one shared
+    rate vector or schedule or under a sequence of B schedules with common
+    breakpoints, and returns a list with one entry per row: its
+    :class:`Trajectory`, or the exception that stopped that row alone.
     """
     if opts is None:
         opts = IntegratorOptions()
     if not (t_end > 0.0) or not math.isfinite(t_end):
         raise InvalidHorizon(f"horizon must be positive and finite, got {t_end}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.n,):
+    if x0.ndim not in (1, 2) or x0.shape[-1] != net.n:
         raise DimensionMismatch(f"x0 has shape {x0.shape}, species {net.n}")
     if np.any(x0 <= 0.0):
         raise ValueError("x0 must be strictly positive")
-    schedule = rates_or_schedule
-    if not isinstance(schedule, RateSchedule):
-        schedule = RateSchedule.constant(_edge_rates(net, schedule))
-    elif schedule.n_edges != len(net.reactions):
-        raise DimensionMismatch("schedule width does not match edge count")
+    starts = x0.reshape(-1, net.n)
+    schedules = _row_schedules(net, rates_or_schedule, len(starts))
+    rows = _integrate_rows(net, schedules, starts, t_end, opts)
+    if x0.ndim == 2:
+        return rows
+    if isinstance(rows[0], Exception):
+        raise rows[0]
+    return rows[0]
 
-    times = [0.0]
-    states = [x0.copy()]
-    cuts = [0.0, *schedule.breakpoints_within(0.0, t_end), t_end]
 
-    x = x0.copy()
-    steps = 0
+def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
+    """Each row's Trajectory, or the exception that stopped that row."""
+    B = len(starts)
+    if B == 0:
+        return []
+    fixed = opts.fixed_step is not None
+    failed: list[Exception | None] = [None] * B
+    live = np.ones(B, dtype=bool)
+    x, t = starts.copy(), np.zeros(B)
+    steps = np.zeros(B, dtype=np.int64)
+    times = [[0.0] for _ in range(B)]
+    states = [[x0] for x0 in starts]
+
+    def fail(row, exc):
+        failed[row] = exc
+        live[row] = False
+
+    rates = np.empty((B, len(net.reactions)))
+    rounds = 0  # loop passes so far; no row has taken more steps
+    cuts = [0.0, *schedules[0].breakpoints_within(0.0, t_end), t_end]
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        rates = schedule.rates_at(t0)
-        f = lambda y: mass_action_field(net, rates, y)  # noqa: E731
-        t = t0
-        if opts.fixed_step is not None:
-            h = opts.fixed_step
-        else:
-            h = opts.h_init if opts.h_init is not None else (t1 - t0) / 64.0
-        h = min(h, opts.h_max, t1 - t0)
-        edge = 1e-12 * max(1.0, abs(t1))
-        while t1 - t > edge:
-            if steps > opts.max_steps:
-                raise StepSizeUnderflow("step budget exhausted")
-            steps += 1
-            last = h >= t1 - t
-            h_step = (t1 - t) if last else h
-            if h_step < opts.h_min:
-                raise StepSizeUnderflow(f"step {h_step} below minimum at t={t}")
+        for r in np.flatnonzero(live):
             try:
-                x4, x5 = _rkf_step(f, x, h_step)
-                positive = bool(np.all(x4 > 0.0))
-            except _PositivityViolation:
-                positive = False
-            if not positive:
-                if opts.fixed_step is not None:
-                    raise StepSizeUnderflow(
-                        f"fixed step {h_step} leaves the positive orthant at t={t}")
-                h = 0.5 * h_step
-                continue
-            if opts.fixed_step is None:
-                scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x4))
-                err = float(np.max(np.abs(x5 - x4) / scale))
-                if err > 1.0:
-                    h = h_step * max(0.2, 0.9 * err ** -0.2)
+                rates[r] = schedules[r].rates_at(t0)
+            except RateOutOfBand as exc:
+                fail(r, exc)
+        t[:] = t0
+        if fixed:
+            h0 = opts.fixed_step
+        else:
+            h0 = opts.h_init if opts.h_init is not None else (t1 - t0) / 64.0
+        h = np.full(B, min(h0, opts.h_max, t1 - t0))
+        edge = 1e-12 * max(1.0, abs(t1))
+        while True:
+            act = np.flatnonzero(live & (t1 - t > edge))
+            if not act.size:
+                break
+            if rounds > opts.max_steps:
+                for r in act[steps[act] > opts.max_steps]:
+                    fail(r, StepSizeUnderflow("step budget exhausted"))
+                act = act[live[act]]
+            rounds += 1
+            steps[act] += 1
+            ta, ha = t[act], h[act]
+            rest = t1 - ta
+            last = ha >= rest
+            h_step = np.where(last, rest, ha)
+            small = h_step < opts.h_min
+            if small.any():
+                for i in np.flatnonzero(small):
+                    fail(act[i], StepSizeUnderflow(
+                        f"step {float(h_step[i])} below minimum "
+                        f"at t={float(ta[i])}"))
+                keep = ~small
+                act, ta, last, h_step = (act[keep], ta[keep], last[keep],
+                                         h_step[keep])
+                if not act.size:
                     continue
-                t = t1 if last else t + h_step
-                x = x4
-                times.append(t)
-                states.append(x.copy())
-                h = h_step * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-                h = min(h, opts.h_max)
-            else:
-                t = t1 if last else t + h_step
-                x = x4
-                times.append(t)
-                states.append(x.copy())
+            xa = x[act]
+            kept, x4, x5 = _rkf_step(net, rates[act], xa, h_step[:, None])
+            good = (x4 > 0.0).all(axis=1)
+            idx = kept[good]  # rows whose step stayed in the open orthant
+            if idx.size < act.size:
+                left = np.ones(act.size, dtype=bool)
+                left[idx] = False
+                if fixed:
+                    for i in np.flatnonzero(left):
+                        fail(act[i], StepSizeUnderflow(
+                            f"fixed step {float(h_step[i])} leaves the "
+                            f"positive orthant at t={float(ta[i])}"))
+                else:
+                    h[act[left]] = 0.5 * h_step[left]
+                x4, x5 = x4[good], x5[good]
+            if not fixed and idx.size:
+                scale = opts.atol + opts.rtol * np.maximum(
+                    np.abs(xa[idx]), np.abs(x4))
+                errs = (np.abs(x5 - x4) / scale).max(axis=1).tolist()
+                # Python floats: numpy's vector power rounds differently
+                ok = np.array([not e > 1.0 for e in errs])
+                factor = np.array([
+                    max(0.2, 0.9 * e ** -0.2) if e > 1.0
+                    else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
+                    for e in errs])
+                h_new = h_step[idx] * factor
+                h_new[ok] = np.minimum(h_new[ok], opts.h_max)
+                h[act[idx]] = h_new
+                idx, x4 = idx[ok], x4[ok]
+            rows = act[idx]
+            t[rows] = np.where(last[idx], t1, ta[idx] + h_step[idx])
+            x[rows] = x4
+            for r, tr, xr in zip(rows.tolist(), t[rows].tolist(), x4):
+                times[r].append(tr)
+                states[r].append(xr)
 
-    states_arr = np.array(states)
     basis, s = stoichiometric_subspace(net)
-    if s == net.n:
-        resid = 0.0  # orthogonal complement is trivial
-    else:
-        drift = states_arr - x0[None, :]
-        perp = drift - (drift @ basis) @ basis.T
-        resid = float(np.max(np.linalg.norm(perp, axis=1)))
-    return Trajectory(np.array(times), states_arr, resid)
+    out: list = []
+    for r in range(B):
+        if failed[r] is not None:
+            out.append(failed[r])
+            continue
+        states_r = np.array(states[r])
+        if s == net.n:
+            resid = 0.0  # orthogonal complement is trivial
+        else:
+            drift = states_r - starts[r][None, :]
+            perp = drift - (drift @ basis) @ basis.T
+            resid = float(np.max(np.linalg.norm(perp, axis=1)))
+        out.append(Trajectory(np.array(times[r]), states_r, resid))
+    return out
 
 
 def persistence_metrics(traj: Trajectory, tail_fraction: float = 0.2) -> np.ndarray:

@@ -291,17 +291,22 @@ def lyapunov_derivative(net: ReactionNetwork, rates, x, x0) -> float:
 
 
 def birch_point(net: ReactionNetwork, rates, x_ref,
-                tol: float = 1e-10, max_iter: int = 80) -> np.ndarray:
+                tol: float = 1e-10, max_iter: int = 80,
+                equilibrium=None) -> np.ndarray:
     """Minimizer of V(.; x0) over (x_ref + S0) intersected with the open
     orthant, via damped Newton on the reduced strictly convex problem.
 
     The returned point is the unique vertex-balanced equilibrium in the
-    compatibility class of x_ref.
+    compatibility class of x_ref.  ``equilibrium`` is a vertex-balanced
+    equilibrium x0 of the same rates, reused across many x_ref; None
+    solves for one.
     """
-    report = solve_complex_balanced(net, rates)
-    if not report.found:
-        raise NoComplexBalance("no vertex-balanced equilibrium exists")
-    x0 = np.array(report.x0)
+    if equilibrium is None:
+        report = solve_complex_balanced(net, rates)
+        if not report.found:
+            raise NoComplexBalance("no vertex-balanced equilibrium exists")
+        equilibrium = report.x0
+    x0 = np.array(equilibrium, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     if x_ref.shape != (net.n,):
         raise DimensionMismatch(f"x_ref has shape {x_ref.shape}, species {net.n}")

@@ -1,11 +1,12 @@
 """Experiment drivers: persistence and global-attractor runs over sets of
 initial conditions, with per-trajectory records and aggregate verdicts.
 
-Both drivers share the same measurement core: integrate each initial
-condition to the horizon, anchor the Horn-Jackson Lyapunov function at the
-class Birch point, and record the final distance, the largest consecutive
-Lyapunov increase (signed), and the trailing-window persistence minimum.
-Per-trajectory numeric failures are recorded in place (no silent skips);
+Both drivers share the same measurement core: solve the balance problem
+once, anchor the Horn-Jackson Lyapunov function at each start's class Birch
+point, integrate all starts to the horizon as one batch, and record the
+final distance, the largest consecutive Lyapunov increase (signed), and the
+trailing-window persistence minimum.  Per-trajectory numeric failures are
+recorded in place (no silent skips) and do not stop the other starts;
 configuration and network-level failures propagate.
 """
 
@@ -151,11 +152,14 @@ def load_network(cfg: ExperimentConfig,
         return parse_network(fh.read())
 
 
-def _measure(net: ReactionNetwork, ic: np.ndarray,
+def _measure(ic: np.ndarray, birch, traj,
              cfg: ExperimentConfig) -> TrajectoryRecord:
+    """Record of one start from its Birch point and trajectory, either of
+    which may be the exception that stopped it."""
     try:
-        birch = birch_point(net, None, ic)
-        traj = integrate(net, None, ic, cfg.horizon)
+        for outcome in (birch, traj):
+            if isinstance(outcome, Exception):
+                raise outcome
         values = [lyapunov_value(x, birch) for x in traj.states]
         increases = [b - a for a, b in zip(values, values[1:])]
         max_inc = max(increases) if increases else 0.0
@@ -183,6 +187,13 @@ def _measure(net: ReactionNetwork, ic: np.ndarray,
         )
 
 
+def _birch(net: ReactionNetwork, ic: np.ndarray, equilibrium):
+    try:
+        return birch_point(net, None, ic, equilibrium=equilibrium)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def _run(cfg: ExperimentConfig, net: ReactionNetwork | None,
          kind: str) -> ConvergenceReport:
     net = load_network(cfg, net)
@@ -191,8 +202,15 @@ def _run(cfg: ExperimentConfig, net: ReactionNetwork | None,
     if not base.found:
         raise NoComplexBalance(
             "experiment requires a vertex-balance-solvable network")
-    records = tuple(_measure(net, ic, cfg)
-                    for ic in cfg.initial.materialize(net.n))
+    starts = cfg.initial.materialize(net.n)
+    birches = [_birch(net, ic, base.x0) for ic in starts]
+    # every start with a Birch point is integrated in one batch
+    rows = [i for i, b in enumerate(birches) if not isinstance(b, Exception)]
+    trajs = dict(zip(rows, integrate(
+        net, None, np.reshape([starts[i] for i in rows], (len(rows), net.n)),
+        cfg.horizon)))
+    records = tuple(_measure(ic, birches[i], trajs.get(i), cfg)
+                    for i, ic in enumerate(starts))
     clean = [r for r in records if r.error is None]
     no_errors = len(clean) == len(records)
     all_conv = no_errors and all(r.converged for r in clean)

@@ -90,8 +90,9 @@ class _Kinetics:
     k: np.ndarray       # (E,) stored rates
 
     def flows(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per-edge mass-action flux k_e x^(y_src(e))."""
-        return k * np.prod(x ** self.Ys, axis=1)
+        """Per-edge mass-action flux k_e x^(y_src(e)): shape (E,) for one
+        state, (B, E) for a (B, n) batch."""
+        return k * (x[..., None, :] ** self.Ys).prod(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,41 @@ def test_field_bit_identical_to_per_edge_loop():
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
+def test_batched_field_rows_equal_single_state_calls():
+    rng = np.random.default_rng(77)
+    nets = {name: load(name) for name in NETWORK_TEXTS}
+    nets["one_species_dense"] = parse_network(ONE_SPECIES_DENSE)
+    for name, net in nets.items():
+        E = len(net.reactions)
+        for _ in range(20):
+            X = np.exp(rng.uniform(-8.0, 8.0, size=(13, net.n)))
+            rows = np.exp(rng.uniform(-2.0, 2.0, size=(13, E)))
+            for rates, per_row in ((rows, lambda b: rows[b]),
+                                   (rows[0], lambda b: rows[0]),
+                                   (None, lambda b: None)):
+                got = mass_action_field(net, rates, X)
+                assert got.shape == X.shape, name
+                for b in range(len(X)):
+                    want = mass_action_field(net, per_row(b), X[b])
+                    assert np.array_equal(got[b], want), name
+                    assert np.array_equal(np.signbit(got[b]),
+                                          np.signbit(want)), name
+
+
+def test_batched_field_input_validation():
+    net = load("rev_pair")
+    X = np.ones((3, 2))
+    assert mass_action_field(net, None, np.ones((0, 2))).shape == (0, 2)
+    with pytest.raises(DimensionMismatch):
+        mass_action_field(net, np.ones((2, 2)), X)  # one rate row too few
+    with pytest.raises(DimensionMismatch):
+        mass_action_field(net, np.ones((1, 2)), X[0])  # rate rows need a batch
+    with pytest.raises(DimensionMismatch):
+        mass_action_field(net, None, np.ones((2, 3, 2)))
+    with pytest.raises(ValueError):
+        mass_action_field(net, None, np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+
 def test_k_variable_field_bitwise_consistent():
     net = load("rev_pair")
     sched = RateSchedule.constant([2.0, 3.0])
@@ -268,6 +303,177 @@ def test_band_violation_surfaces_during_integration():
                          RateBand(0.5))
     with pytest.raises(RateOutOfBand):
         integrate(net, sched, [2.0, 1.0], 2.0)
+
+
+# ---------------------------------------------------------------------------
+# batches: each row of a (B, n) run equals its own B = 1 run bit for bit
+
+TWO_SPECIES = [name for name in NETWORK_TEXTS if load(name).n == 2]
+
+
+def single_runs(net, schedules, starts, t_end, opts=None):
+    """B = 1 runs of each row: its Trajectory or the exception it raised."""
+    out = []
+    for sched, x0 in zip(schedules, starts):
+        try:
+            out.append(integrate(net, sched, x0, t_end, opts))
+        except StepSizeUnderflow as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_rows(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert isinstance(got, Trajectory)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        assert got.conserved_residual == want.conserved_residual
+
+
+def test_batched_rows_equal_single_runs_under_random_schedules():
+    rng = np.random.default_rng(31)
+    band = RateBand(0.5)
+    opts = IntegratorOptions(rtol=1e-6, atol=1e-9)
+    for name in TWO_SPECIES:
+        net = load(name)
+        starts = np.exp(rng.uniform(-2.0, 3.0, size=(4, 2)))
+        schedules = [RateSchedule.random(len(net.reactions), band, 2.5, 20.0,
+                                         rng) for _ in range(4)]
+        batch = integrate(net, schedules, starts, 20.0, opts)
+        assert_same_rows(batch, single_runs(net, schedules, starts, 20.0,
+                                            opts))
+
+
+def test_batched_rows_equal_single_runs_at_constant_rates():
+    rng = np.random.default_rng(32)
+    for name in NETWORK_TEXTS:
+        net = load(name)
+        starts = np.exp(rng.uniform(-2.0, 2.0, size=(3, net.n)))
+        batch = integrate(net, None, starts, 10.0)
+        assert_same_rows(batch, single_runs(net, [None] * 3, starts, 10.0))
+
+
+# dx/dt = -k0 - k1 x: a constant drain plus a linear decay
+DRAIN_AND_DECAY = """
+    species A
+    complex (0) -> complex (-1) ; k=1
+    A -> 0 ; k=1
+"""
+
+
+# Fehlberg 4(5): stage coefficients and the 4th/5th-order weights
+FEHLBERG = ((), (1 / 4,), (3 / 32, 9 / 32),
+            (1932 / 2197, -7200 / 2197, 7296 / 2197),
+            (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+            (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))
+FEHLBERG_W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+FEHLBERG_W5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+
+
+def scalar_rkf45(net, schedule, x0, t_end, rtol, atol):
+    """Oracle: adaptive Fehlberg one state at a time, piece by piece, with
+    the step-size factor computed in Python floats."""
+    x = np.array(x0, dtype=float)
+    times, states = [0.0], [x]
+    cuts = [0.0, *schedule.breakpoints_within(0.0, t_end), t_end]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        k = schedule.rates_at(t0)
+        t, h = t0, (t1 - t0) / 64.0
+        while t1 - t > 1e-12 * max(1.0, abs(t1)):
+            last = h >= t1 - t
+            hs = (t1 - t) if last else h
+            ks = []
+            for a in FEHLBERG:
+                arg = x + hs * sum(c * kk for c, kk in zip(a, ks)) if a else x
+                if np.any(arg <= 0.0):
+                    break
+                ks.append(mass_action_field(net, k, arg))
+            x4 = x + hs * sum(w * kk for w, kk in zip(FEHLBERG_W4, ks))
+            if len(ks) < 6 or not np.all(x4 > 0.0):
+                h = 0.5 * hs
+                continue
+            x5 = x + hs * sum(w * kk for w, kk in zip(FEHLBERG_W5, ks))
+            scale = atol + rtol * np.maximum(np.abs(x), np.abs(x4))
+            err = float(np.max(np.abs(x5 - x4) / scale))
+            if err > 1.0:
+                h = hs * max(0.2, 0.9 * err ** -0.2)
+                continue
+            t, x = (t1 if last else t + hs), x4
+            times.append(t)
+            states.append(x)
+            h = hs * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+    return np.array(times), np.array(states)
+
+
+def test_batched_rows_follow_the_scalar_controller():
+    rng = np.random.default_rng(33)
+    band = RateBand(0.5)
+    for name in ("rev_pair", "rev_triangle_skew", "two_triangles_edge"):
+        net = load(name)
+        starts = np.exp(rng.uniform(-2.0, 3.0, size=(3, 2)))
+        schedules = [RateSchedule.random(len(net.reactions), band, 2.5, 20.0,
+                                         rng) for _ in range(3)]
+        batch = integrate(net, schedules, starts, 20.0,
+                          IntegratorOptions(rtol=1e-6, atol=1e-9))
+        for traj, sched, x0 in zip(batch, schedules, starts):
+            times, states = scalar_rkf45(net, sched, x0, 20.0, 1e-6, 1e-9)
+            assert np.array_equal(traj.times, times), name
+            assert np.array_equal(traj.states, states), name
+
+
+def test_failing_rows_leave_the_other_rows_unchanged():
+    net = parse_network(DRAIN_AND_DECAY)
+    opts = IntegratorOptions(h_init=1.0)
+    schedules = [RateSchedule.constant(k) for k in
+                 ([1e-3, 0.1],    # smooth decay
+                  [1e-12, 8.0],   # steep decay: the first steps need halving
+                  [1.0, 1e-3])]   # drained to zero near t = 0.5
+    starts = np.array([[1.0], [1.0], [0.5]])
+    # the steep row's first step leaves the orthant, so it must be halved
+    with pytest.raises(StepSizeUnderflow, match="leaves the positive orthant"):
+        integrate(net, schedules[1], starts[1], 2.0,
+                  IntegratorOptions(fixed_step=1.0))
+    singles = single_runs(net, schedules, starts, 2.0, opts)
+    assert isinstance(singles[1], Trajectory)
+    assert isinstance(singles[2], StepSizeUnderflow)
+    assert "below minimum" in str(singles[2])
+    batch = integrate(net, schedules, starts, 2.0, opts)
+    assert_same_rows(batch, singles)
+    # without the failing row the other rows come out the same
+    assert_same_rows(integrate(net, schedules[:2], starts[:2], 2.0, opts),
+                     singles[:2])
+
+
+def test_step_budget_fails_only_its_row():
+    net = load("rev_pair")
+    opts = IntegratorOptions(max_steps=20)
+    starts = np.array([[1.5, 1.0], [2.0, 1.0], [0.01, 5.0]])  # (1.5, 1) rests
+    singles = single_runs(net, [None] * 3, starts, 10.0, opts)
+    assert isinstance(singles[0], Trajectory)
+    assert str(singles[2]) == "step budget exhausted"
+    assert_same_rows(integrate(net, None, starts, 10.0, opts), singles)
+
+
+def test_batch_input_validation():
+    net = load("rev_pair")
+    band = RateBand(0.5)
+    rng = np.random.default_rng(0)
+    starts = np.ones((2, 2))
+    assert integrate(net, None, np.ones((0, 2)), 1.0) == []
+    one = RateSchedule.random(2, band, 0.5, 1.0, rng)
+    with pytest.raises(DimensionMismatch):
+        integrate(net, [one], starts, 1.0)  # one schedule per row
+    other = RateSchedule.random(2, band, 0.3, 1.0, rng)
+    with pytest.raises(ValueError, match="share their breakpoints"):
+        integrate(net, [one, other], starts, 1.0)
+    with pytest.raises(DimensionMismatch):
+        integrate(net, None, np.ones((2, 3)), 1.0)
+    with pytest.raises(ValueError):
+        integrate(net, None, np.array([[1.0, 1.0], [1.0, -1.0]]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,15 @@ def test_birch_full_dimensional_class():
     assert np.allclose(b, [1.0, 1.0], atol=1e-9)
 
 
+def test_birch_reuses_a_given_equilibrium():
+    for name in ("rev_pair", "two_pairs_4sp", "rev_cycle_3sp_db"):
+        net = load(name)
+        x0 = solve_complex_balanced(net).x0
+        x_ref = np.linspace(0.5, 3.0, net.n)
+        assert np.array_equal(birch_point(net, None, x_ref, equilibrium=x0),
+                              birch_point(net, None, x_ref))
+
+
 def test_birch_without_balance_raises():
     with pytest.raises(NoComplexBalance):
         birch_point(load("chain_1sp_unbalanced"), None, [1.0])

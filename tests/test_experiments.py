@@ -177,22 +177,46 @@ def test_every_initial_condition_reported_once():
 def test_partial_report_on_trajectory_failure(monkeypatch):
     pts = [(1.0, 2.0), (2.0, 1.0), (0.5, 0.5)]
     cfg = ExperimentConfig(initial=InitialConditions.explicit(pts))
+    clean = run_persistence_experiment(cfg, UNIT_PAIR)
     real = experiments.integrate
-    calls = {"n": 0}
+    calls = []
 
     def flaky(net, sched, x0, horizon, *a, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise StepSizeUnderflow("forced failure")
-        return real(net, sched, x0, horizon, *a, **kw)
+        calls.append(np.shape(x0))
+        rows = real(net, sched, x0, horizon, *a, **kw)
+        rows[1] = StepSizeUnderflow("forced failure")
+        return rows
 
     monkeypatch.setattr(experiments, "integrate", flaky)
     rep = run_persistence_experiment(cfg, UNIT_PAIR)
+    assert calls == [(3, 2)]  # every start in one batch
     assert len(rep.records) == 3
     assert rep.records[0].error is None
-    assert "StepSizeUnderflow" in rep.records[1].error
+    assert rep.records[1].error == "StepSizeUnderflow: forced failure"
+    assert rep.records[1].initial == pts[1]
     assert rep.records[2].error is None
+    assert rep.records[0] == clean.records[0]
+    assert rep.records[2] == clean.records[2]
     assert not rep.passed
+
+
+def test_balance_solved_once_per_run(monkeypatch):
+    import toric_gac.equilibria as equilibria
+    real = equilibria.solve_complex_balanced
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    cfg = ExperimentConfig(
+        initial=InitialConditions.sampled(5, (0.5, 2.0), seed=2))
+    before = run_persistence_experiment(cfg, load("rev_triangle_db"))
+    monkeypatch.setattr(equilibria, "solve_complex_balanced", counted)
+    monkeypatch.setattr(experiments, "solve_complex_balanced", counted)
+    after = run_persistence_experiment(cfg, load("rev_triangle_db"))
+    assert len(calls) == 1
+    assert after.to_json_dict() == before.to_json_dict()
 
 
 def test_report_written_to_out_dir(tmp_path):

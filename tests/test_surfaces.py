@@ -15,7 +15,7 @@ import pytest
 
 import toric_gac.surfaces as surfaces
 from toric_gac.corpus import load
-from toric_gac.dynamics import RateBand
+from toric_gac.dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
 from toric_gac.embedding import build_embedding
 from toric_gac.geometry import Arrangement
 from toric_gac.network import Complex, Reaction, ReactionNetwork
@@ -413,6 +413,31 @@ def test_crossing_report_is_deterministic():
     assert r1.to_json_dict() == r2.to_json_dict()
     r3 = trajectory_crossing_test(curve, net, band, 10, 20.0, seed=4)
     assert r3.to_json_dict() != r1.to_json_dict()
+
+
+def test_crossing_minima_match_a_per_schedule_loop():
+    """Oracle for the batched crossing test: draw each start, then its
+    schedule, from one ``default_rng(seed)`` stream and integrate every
+    schedule on its own."""
+    net = load("rev_triangle_skew")
+    band = RateBand(0.5)
+    opts = IntegratorOptions(rtol=1e-6, atol=1e-9)
+    emb = build_embedding(net, band)
+    curve = build_zero_separating_curve_2d(emb.arrangement, emb.delta0)
+    rep = trajectory_crossing_test(curve, net, band, n_schedules=6,
+                                   horizon=20.0, seed=5, opts=opts)
+    rng = np.random.default_rng(5)
+    base = 100.0 * max(max(v) for v in curve.vertices)
+    want = []
+    for _ in range(6):
+        x0 = base * np.exp(rng.uniform(0.0, math.log(10.0), size=2))
+        schedule = RateSchedule.random(len(net.reactions), band, 20.0 / 8.0,
+                                       20.0, rng)
+        traj = integrate(net, schedule, x0, 20.0, opts)
+        want.append(float(min(signed_distance_to_curve(tuple(x), curve)
+                              for x in traj.states)))
+    assert rep.per_schedule == tuple(want)
+    assert rep.min_signed_distance == min(want)
 
 
 def test_zero_field_net_keeps_constant_distance():
