@@ -10,6 +10,7 @@ them to files (plus CSV/SVG where applicable).  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -66,13 +67,33 @@ def _parse_x0(raw: str | None, n: int) -> np.ndarray:
         raise UsageError(f"--x0 must be comma-separated floats: {exc}")
     if len(vals) != n:
         raise UsageError(f"--x0 needs {n} components, got {len(vals)}")
-    if any(v <= 0.0 for v in vals):
-        raise UsageError("--x0 components must be positive")
+    if not all(0.0 < v < math.inf for v in vals):
+        raise UsageError("--x0 components must be positive and finite")
     return np.array(vals)
 
 
 class UsageError(Exception):
     pass
+
+
+def _checked(convert, ok, what: str):
+    """argparse ``type=`` function: ``convert`` the text, then require
+    ``ok``; anything else is a usage error (exit 2)."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_band = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -166,7 +187,6 @@ def cmd_certify_surface(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
-        network_path=args.network,
         epsilon=args.epsilon,
         horizon=args.horizon,
         initial=InitialConditions.sampled(args.trials, seed=args.seed),
@@ -194,8 +214,7 @@ def _records_csv(report) -> str:
 
 
 def _run_experiment(args, runner, name: str) -> int:
-    cfg = _experiment_config(args)
-    report = runner(cfg)
+    report = runner(_experiment_config(args), _load(args.network))
     _emit(args, report.to_json_dict(), f"{name}.json")
     if args.format == "csv" and args.out:
         write_text(os.path.join(args.out, f"{name}.csv"),
@@ -223,24 +242,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, epsilon=False, horizon=False, trials=None, seed=False,
-               tol=None, samples=False):
+               tol=None, samples=False, formats=("json",)):
         p.add_argument("network", help="network file (.crn)")
         if epsilon:
-            p.add_argument("--epsilon", type=float, default=0.5,
+            p.add_argument("--epsilon", type=_band, default=0.5,
                            help="rate band parameter in (0, 1]")
         if horizon:
-            p.add_argument("--horizon", type=float, default=50.0)
+            p.add_argument("--horizon", type=_positive, default=50.0)
         if trials is not None:
-            p.add_argument("--trials", type=int, default=trials)
+            p.add_argument("--trials", type=_positive_int, default=trials)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_positive, default=tol)
         if samples:
-            p.add_argument("--samples", type=int, default=10,
+            p.add_argument("--samples", type=_positive_int, default=10,
                            help="verification samples per segment")
         p.add_argument("--out", help="directory for report files")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("analyze", help="structural report")
     common(p)
@@ -251,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("simulate", help="integrate mass-action dynamics")
-    common(p, horizon=True)
+    common(p, horizon=True, formats=("json", "csv"))
     p.add_argument("--x0", help="comma-separated initial state")
     p.set_defaults(func=cmd_simulate, format="csv")
 
@@ -270,11 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify_surface)
 
     p = sub.add_parser("persist", help="persistence experiment")
-    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6)
+    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6,
+           formats=("json", "csv"))
     p.set_defaults(func=cmd_persist)
 
     p = sub.add_parser("gac", help="global-attractor experiment")
-    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6)
+    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6,
+           formats=("json", "csv"))
     p.set_defaults(func=cmd_gac)
 
     return parser

@@ -1,4 +1,5 @@
-"""Small benchmark networks used by the test suite and the demo scripts.
+"""Small benchmark networks: the one source of the networks the test suite,
+the benchmark and the README examples use.
 
 ``EMBEDDING_CORPUS`` lists weakly reversible networks with 2-4 species and
 at most 6 complexes: single reversible pairs, directed and reversible

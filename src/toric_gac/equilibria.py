@@ -1,5 +1,5 @@
-"""Vertex-balanced and detailed-balanced equilibria, tree constants,
-Lyapunov evaluation, and Birch points.
+"""Vertex-balanced equilibria, tree constants, Lyapunov evaluation, and
+Birch points.
 
 A positive state x0 is vertex balanced when at every vertex the incoming
 mass-action flows sum to the outgoing ones.  The positive kernel of each
@@ -10,7 +10,6 @@ least squares and back-substituting decides existence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,17 +19,12 @@ from .dynamics import DimensionMismatch, _edge_rates, mass_action_field
 from .network import (
     NotWeaklyReversible,
     ReactionNetwork,
-    is_reversible,
     is_weakly_reversible,
     linkage_classes,
     stoichiometric_subspace,
 )
 
 _ENUMERATION_LIMIT = 8  # per-class vertex count where exhaustion stays cheap
-
-
-class NotReversible(ValueError):
-    pass
 
 
 class SingularSystem(RuntimeError):
@@ -64,7 +58,7 @@ class EquilibriumReport:
 
     x0: tuple[float, ...] | None
     residual: tuple[float, ...]
-    method: str  # "provided" | "tree_solve"
+    method: str  # "tree_solve"
 
     @property
     def found(self) -> bool:
@@ -94,23 +88,6 @@ def vertex_balance_residual(net: ReactionNetwork, rates, x0) -> np.ndarray:
     np.add.at(out, np.column_stack([kin.target, kin.source]).ravel(),
               np.column_stack([flow, -flow]).ravel())
     return out
-
-
-def is_detailed_balanced(net: ReactionNetwork, rates, x0,
-                         tol: float = 1e-9) -> bool:
-    """Every forward/backward edge pair carries equal flux at x0.
-    Only defined on reversible networks."""
-    if not is_reversible(net):
-        raise NotReversible("detailed balance requires a reversible network")
-    kin = net.kinetics
-    flow = kin.flows(_edge_rates(net, rates), np.asarray(x0, dtype=float))
-    flux = dict(zip(zip(kin.source.tolist(), kin.target.tolist()),
-                    flow.tolist()))
-    for (u, v), fwd in flux.items():
-        back = flux[(v, u)]
-        if abs(fwd - back) > tol * max(1.0, abs(fwd), abs(back)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +226,6 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
     if float(np.max(np.abs(resid))) <= tol:
         return EquilibriumReport(tuple(x0), tuple(resid), "tree_solve")
     return EquilibriumReport(None, tuple(resid), "tree_solve")
-
-
-def report_for(net: ReactionNetwork, rates, x0) -> EquilibriumReport:
-    """Report for a user-supplied equilibrium candidate."""
-    k = _edge_rates(net, rates)
-    k_norm = k / float(np.max(k))
-    resid = vertex_balance_residual(net, k_norm, np.asarray(x0, dtype=float))
-    return EquilibriumReport(tuple(float(v) for v in np.asarray(x0, dtype=float)),
-                             tuple(resid), "provided")
 
 
 # ---------------------------------------------------------------------------

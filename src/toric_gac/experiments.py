@@ -12,7 +12,6 @@ configuration and network-level failures propagate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,10 @@ from .equilibria import (
     lyapunov_value,
     solve_complex_balanced,
 )
-from .jsonio import write_report
-from .network import ReactionNetwork, parse_network
+from .network import ReactionNetwork
+
+_LYAPUNOV_SLACK = 1e-9  # largest consecutive increase still counted monotone
+_TAIL_FRACTION = 0.2  # trailing share of samples the persistence minimum reads
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,11 @@ class InitialConditions:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    network_path: str | None = None
     epsilon: float = 1.0
     horizon: float = 50.0
     initial: InitialConditions = field(default_factory=InitialConditions)
     tol: float = 1e-6
-    lyapunov_slack: float = 1e-9
     persistence_floor: float | None = None  # None: half the Birch minimum
-    tail_fraction: float = 0.2
-    out_dir: str | None = None
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -142,16 +139,6 @@ class ConvergenceReport:
         }
 
 
-def load_network(cfg: ExperimentConfig,
-                 net: ReactionNetwork | None) -> ReactionNetwork:
-    if net is not None:
-        return net
-    if cfg.network_path is None:
-        raise ValueError("config needs a network path or an explicit network")
-    with open(cfg.network_path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
-
-
 def _measure(ic: np.ndarray, birch, traj,
              cfg: ExperimentConfig) -> TrajectoryRecord:
     """Record of one start from its Birch point and trajectory, either of
@@ -165,7 +152,7 @@ def _measure(ic: np.ndarray, birch, traj,
         max_inc = max(increases) if increases else 0.0
         final = traj.states[-1]
         dist = float(np.max(np.abs(final - birch)))
-        pmin = float(np.min(persistence_metrics(traj, cfg.tail_fraction)))
+        pmin = float(np.min(persistence_metrics(traj, _TAIL_FRACTION)))
         floor = (cfg.persistence_floor if cfg.persistence_floor is not None
                  else 0.5 * float(np.min(birch)))
         return TrajectoryRecord(
@@ -178,7 +165,7 @@ def _measure(ic: np.ndarray, birch, traj,
             floor=floor,
             converged=bool(dist <= cfg.tol),
             persistent=bool(pmin >= floor),
-            lyapunov_monotone=bool(max_inc <= cfg.lyapunov_slack),
+            lyapunov_monotone=bool(max_inc <= _LYAPUNOV_SLACK),
         )
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         return TrajectoryRecord(
@@ -194,9 +181,8 @@ def _birch(net: ReactionNetwork, ic: np.ndarray, equilibrium):
         return exc
 
 
-def _run(cfg: ExperimentConfig, net: ReactionNetwork | None,
+def _run(cfg: ExperimentConfig, net: ReactionNetwork,
          kind: str) -> ConvergenceReport:
-    net = load_network(cfg, net)
     # precondition: the network must admit a vertex-balanced equilibrium
     base = solve_complex_balanced(net)
     if not base.found:
@@ -218,26 +204,20 @@ def _run(cfg: ExperimentConfig, net: ReactionNetwork | None,
     monotone = no_errors and all(r.lyapunov_monotone for r in clean)
     passed = monotone and (all_conv if kind == "global_attractor"
                            else all_pers)
-    report = ConvergenceReport(kind, cfg.horizon, records,
-                               all_conv, all_pers, monotone, passed)
-    if cfg.out_dir:
-        write_report(os.path.join(cfg.out_dir, f"{kind}.json"),
-                     report.to_json_dict())
-    return report
+    return ConvergenceReport(kind, cfg.horizon, records,
+                             all_conv, all_pers, monotone, passed)
 
 
 def run_persistence_experiment(cfg: ExperimentConfig,
-                               net: ReactionNetwork | None = None
-                               ) -> ConvergenceReport:
+                               net: ReactionNetwork) -> ConvergenceReport:
     """Trailing-window minima of every trajectory must reach the floor
     (default: half the smallest Birch coordinate) and the Lyapunov values
-    must be nonincreasing within the configured slack."""
+    must be nonincreasing within a slack of 1e-9."""
     return _run(cfg, net, "persistence")
 
 
 def run_global_attractor_experiment(cfg: ExperimentConfig,
-                                    net: ReactionNetwork | None = None
-                                    ) -> ConvergenceReport:
+                                    net: ReactionNetwork) -> ConvergenceReport:
     """Every trajectory must land within cfg.tol (max-norm) of its class
     Birch point by the horizon with nonincreasing Lyapunov values."""
     return _run(cfg, net, "global_attractor")

@@ -41,14 +41,6 @@ def report_json(payload: dict) -> str:
     return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
 
-def write_report(path: str, payload: dict) -> str:
-    text = report_json(payload)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
-
-
 def trajectory_csv(times, states) -> str:
     """CSV export with header ``t,x1,...,xn`` at 17 significant digits."""
     states = np.asarray(states, dtype=float)

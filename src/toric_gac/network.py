@@ -140,10 +140,6 @@ class ReactionNetwork:
             a.flags.writeable = False
         return _Kinetics(*arrays)
 
-    def complex_matrix(self) -> np.ndarray:
-        """(m, n) array whose rows are the exponent vectors."""
-        return self.kinetics.Y
-
     def edge_list(self) -> list[tuple[int, int]]:
         return [(r.source, r.target) for r in self.reactions]
 
@@ -165,7 +161,7 @@ class CycleCover:
 
 
 # ---------------------------------------------------------------------------
-# parsing / serialization
+# parsing
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UNSIGNED_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -380,22 +376,6 @@ def parse_network(text: str) -> ReactionNetwork:
     if not saw_header:
         raise NetworkParseError("empty input: no 'species' header", 1, 1)
     return ReactionNetwork(tuple(species), tuple(complexes), tuple(reactions))
-
-
-def serialize_network(net: ReactionNetwork) -> str:
-    """Text form that reparses to an identical network (rates and exponent
-    vectors round-trip bit-exactly).  Every complex is written in raw-vector
-    form; complexes that appear in no reaction are not representable."""
-    lines = ["species " + " ".join(net.species)]
-    for r in net.reactions:
-        lhs = _format_complex(net.complexes[r.source].y)
-        rhs = _format_complex(net.complexes[r.target].y)
-        lines.append(f"{lhs} -> {rhs} ; k={r.rate!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _format_complex(y: tuple[float, ...]) -> str:
-    return "complex (" + ", ".join(repr(v) for v in y) + ")"
 
 
 # ---------------------------------------------------------------------------

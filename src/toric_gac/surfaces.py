@@ -37,10 +37,6 @@ class BandsOverlap(RuntimeError):
     pass
 
 
-class InfeasibleAdjustment(RuntimeError):
-    pass
-
-
 class _RetryScale(Exception):
     pass
 
@@ -380,44 +376,6 @@ def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# faithfulness
-
-_FAITHFUL_MARGIN = 1e-6  # radians of angular slack
-
-
-def _connector_margin(seg: CurveSegment, arr: Arrangement) -> float:
-    """Angular distance of the segment normal to the boundary of the
-    admissible normal cone of its cell."""
-    mid = 0.5 * (np.array(seg.start) + np.array(seg.end))
-    normals = arr.normal_matrix()
-    # cell signs from the segment midpoint's log position
-    rays = _sector_normal_cone(normals, np.log(mid))
-    nu = np.array(seg.normal)
-    ang = math.atan2(nu[1], nu[0])
-    margins = []
-    for r in rays:
-        r = r / np.linalg.norm(r)
-        margins.append(abs(ang - math.atan2(r[1], r[0])))
-    return min(margins) if margins else math.pi
-
-
-def make_faithful_2d(curve: PolygonalCurve2D, arr: Arrangement,
-                     delta: float) -> PolygonalCurve2D:
-    """Ensure every connector normal sits strictly inside its cell's
-    admissible cone (angular margin >= 1e-6 rad); band segments keep their
-    defining directions.  Already-faithful curves are returned unchanged."""
-    connectors = [s for s in curve.segments if s.band_index is None]
-    if all(_connector_margin(s, arr) >= _FAITHFUL_MARGIN for s in connectors):
-        return curve
-    rebuilt = build_zero_separating_curve_2d(arr, delta, curve.scale)
-    for s in rebuilt.segments:
-        if s.band_index is None and _connector_margin(s, arr) < _FAITHFUL_MARGIN:
-            raise InfeasibleAdjustment(
-                f"cell at {s.start} leaves no angular slack for a connector")
-    return rebuilt
-
-
-# ---------------------------------------------------------------------------
 # verification
 
 @dataclass(frozen=True, eq=False)
@@ -481,14 +439,6 @@ def curve_to_certificate(curve: PolygonalCurve2D,
             x = a + t * (b - a)
             samples.append((tuple(float(c) for c in x), seg.normal))
     return SurfaceCertificate(tuple(samples), longest / samples_per_segment)
-
-
-def point_certificate_1d(x: float) -> SurfaceCertificate:
-    """Degenerate 1-D separating surface: a single point with the outward
-    direction +1 (the inclusion below the point forces dx/dt >= 0)."""
-    if x <= 0.0:
-        raise ValueError("separating point must be positive")
-    return SurfaceCertificate((((float(x),), (1.0,)),), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,47 @@
 """Command-line interface: subcommand outputs, exit codes, file outputs,
-and report determinism.
+report determinism, and the README's command examples.
 
 Exit convention: 0 pass, 1 assertion failure, 2 usage/parse error.
+Network files are written into a temporary directory from
+``corpus.NETWORK_TEXTS``, plus two networks that exist only here.
 """
 
 import json
 import os
+import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from toric_gac.cli import cli_dispatch
+from toric_gac.corpus import NETWORK_TEXTS
 from toric_gac.equilibria import solve_complex_balanced
 from toric_gac.experiments import ExperimentConfig, InitialConditions, \
     run_global_attractor_experiment
 from toric_gac.network import parse_network
 
-NETS = os.path.join(os.path.dirname(__file__), os.pardir, "networks")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TEXTS = {
+    **NETWORK_TEXTS,
+    "unit_pair": "species A B\nA <-> B ; kf=1 kr=1\n",
+    "not_weakly_reversible": "species A B\nA -> B ; k=1\n",
+}
 
 
-def net_path(name: str) -> str:
-    return os.path.join(NETS, f"{name}.crn")
+@pytest.fixture
+def net_path(tmp_path):
+    """``net_path(name)`` writes ``name.crn`` and returns its path."""
+    nets = tmp_path / "networks"
+    nets.mkdir()
+
+    def write(name: str) -> str:
+        path = nets / f"{name}.crn"
+        path.write_text(TEXTS[name], encoding="utf-8")
+        return str(path)
+    return write
 
 
 def run(capsys, *argv):
@@ -42,7 +63,7 @@ def test_no_arguments_is_usage_error(capsys):
     assert code == 2
 
 
-def test_unknown_flag_is_usage_error(capsys):
+def test_unknown_flag_is_usage_error(net_path, capsys):
     code, _, err = run(capsys, "analyze", net_path("rev_pair"), "--bogus")
     assert code == 2
 
@@ -62,7 +83,7 @@ def test_malformed_network_is_input_error(tmp_path, capsys):
 # -- analyze --------------------------------------------------------------
 
 
-def test_analyze_structural_fields(capsys):
+def test_analyze_structural_fields(net_path, capsys):
     code, doc, _ = run_json(capsys, "analyze", net_path("rev_pair"))
     assert code == 0
     assert doc["schema"] == 1
@@ -73,7 +94,7 @@ def test_analyze_structural_fields(capsys):
     assert doc["s"] == 1
 
 
-def test_analyze_deficient_network(capsys):
+def test_analyze_deficient_network(net_path, capsys):
     code, doc, _ = run_json(capsys, "analyze",
                             net_path("two_triangles_vertex"))
     assert code == 0
@@ -84,7 +105,7 @@ def test_analyze_deficient_network(capsys):
 # -- equilibrium ----------------------------------------------------------
 
 
-def test_equilibrium_solvable(capsys):
+def test_equilibrium_solvable(net_path, capsys):
     code, doc, _ = run_json(capsys, "equilibrium", net_path("rev_pair"))
     assert code == 0
     assert doc["method"] == "tree_solve"
@@ -92,7 +113,7 @@ def test_equilibrium_solvable(capsys):
     assert doc["x0"][0] / doc["x0"][1] == pytest.approx(1.5, rel=1e-12)
 
 
-def test_equilibrium_unsolvable_exits_one(capsys):
+def test_equilibrium_unsolvable_exits_one(net_path, capsys):
     code, doc, _ = run_json(capsys, "equilibrium",
                             net_path("two_triangles_vertex"))
     assert code == 1
@@ -102,7 +123,7 @@ def test_equilibrium_unsolvable_exits_one(capsys):
 # -- simulate -------------------------------------------------------------
 
 
-def test_simulate_csv_output(capsys):
+def test_simulate_csv_output(net_path, capsys):
     code, out, _ = run(capsys, "simulate", net_path("unit_pair"),
                        "--horizon", "2", "--x0", "2,1")
     assert code == 0
@@ -115,7 +136,7 @@ def test_simulate_csv_output(capsys):
         assert r[1] + r[2] == pytest.approx(3.0, abs=1e-11)
 
 
-def test_simulate_json_format(capsys):
+def test_simulate_json_format(net_path, capsys):
     code, doc, _ = run_json(capsys, "simulate", net_path("unit_pair"),
                             "--horizon", "1", "--x0", "2,1",
                             "--format", "json")
@@ -124,19 +145,22 @@ def test_simulate_json_format(capsys):
     assert doc["states"][0] == [2.0, 1.0]
 
 
-def test_simulate_bad_x0_is_usage_error(capsys):
+def test_simulate_bad_x0_is_usage_error(net_path, capsys):
     code, _, err = run(capsys, "simulate", net_path("unit_pair"),
                        "--x0", "1,2,3")
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, "simulate", net_path("unit_pair"),
                        "--x0", "1,-2")
     assert code == 2
+    code, _, err = run(capsys, "simulate", net_path("unit_pair"),
+                       "--x0", "nan,1")
+    assert code == 2 and "usage error" in err
 
 
 # -- embed-verify ---------------------------------------------------------
 
 
-def test_embed_verify_passes(capsys):
+def test_embed_verify_passes(net_path, capsys):
     code, doc, _ = run_json(capsys, "embed-verify", net_path("rev_pair"),
                             "--epsilon", "0.5", "--trials", "50",
                             "--seed", "7")
@@ -145,7 +169,7 @@ def test_embed_verify_passes(capsys):
     assert doc["sampling"]["trials"] == 50
 
 
-def test_embed_verify_rejects_non_weakly_reversible(capsys):
+def test_embed_verify_rejects_non_weakly_reversible(net_path, capsys):
     code, _, err = run(capsys, "embed-verify",
                        net_path("not_weakly_reversible"))
     assert code == 1 and "NotWeaklyReversible" in err
@@ -154,7 +178,7 @@ def test_embed_verify_rejects_non_weakly_reversible(capsys):
 # -- curve2d and certify-surface ------------------------------------------
 
 
-def test_curve2d_report_and_files(tmp_path, capsys):
+def test_curve2d_report_and_files(net_path, tmp_path, capsys):
     code, doc, _ = run_json(capsys, "curve2d", net_path("rev_pair"),
                             "--epsilon", "0.5", "--out", str(tmp_path))
     assert code == 0
@@ -165,12 +189,12 @@ def test_curve2d_report_and_files(tmp_path, capsys):
     assert svg.startswith("<svg")
 
 
-def test_curve2d_needs_two_species(capsys):
+def test_curve2d_needs_two_species(net_path, capsys):
     code, _, err = run(capsys, "curve2d", net_path("pair_3sp"))
     assert code == 2 and "2 species" in err
 
 
-def test_certify_surface_passes(capsys):
+def test_certify_surface_passes(net_path, capsys):
     code, doc, _ = run_json(capsys, "certify-surface", net_path("rev_pair"),
                             "--epsilon", "0.5")
     assert code == 0
@@ -181,7 +205,7 @@ def test_certify_surface_passes(capsys):
 # -- experiments ----------------------------------------------------------
 
 
-def test_persist_subcommand(capsys):
+def test_persist_subcommand(net_path, capsys):
     code, doc, _ = run_json(capsys, "persist", net_path("rev_pair"),
                             "--trials", "4", "--horizon", "30")
     assert code == 0
@@ -189,7 +213,7 @@ def test_persist_subcommand(capsys):
     assert len(doc["trajectories"]) == 4
 
 
-def test_gac_subcommand_with_files(tmp_path, capsys):
+def test_gac_subcommand_with_files(net_path, tmp_path, capsys):
     code, doc, _ = run_json(capsys, "gac", net_path("rev_pair"),
                             "--trials", "3", "--horizon", "50",
                             "--out", str(tmp_path), "--format", "csv")
@@ -200,14 +224,14 @@ def test_gac_subcommand_with_files(tmp_path, capsys):
     assert len(csv.strip().splitlines()) == 4
 
 
-def test_gac_reports_are_byte_identical(capsys):
+def test_gac_reports_are_byte_identical(net_path, capsys):
     args = ("gac", net_path("rev_pair"), "--trials", "3", "--horizon", "20")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
 
 
-def test_pipeline_consistency_equilibrium_vs_gac(capsys):
+def test_pipeline_consistency_equilibrium_vs_gac(net_path, capsys):
     code, doc, _ = run_json(capsys, "equilibrium", net_path("rev_pair"))
     assert code == 0
     x0 = doc["x0"]
@@ -219,3 +243,71 @@ def test_pipeline_consistency_equilibrium_vs_gac(capsys):
     assert float(np.max(np.abs(birch - np.array(x0)))) <= 1e-10
     solver = np.array(solve_complex_balanced(net).x0)
     assert float(np.max(np.abs(birch - solver))) <= 1e-10
+
+
+# -- argument validation --------------------------------------------------
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("persist", "--epsilon", "2"),
+    ("persist", "--trials", "0"),
+    ("gac", "--horizon", "-1"),
+    ("embed-verify", "--epsilon", "2"),
+    ("embed-verify", "--trials", "0"),
+    ("simulate", "--horizon", "-1"),
+    ("curve2d", "--epsilon", "0"),
+    ("certify-surface", "--samples", "0"),
+    ("equilibrium", "--tol", "0"),
+    ("persist", "--seed", "-1"),
+    ("embed-verify", "--seed", "-1"),
+])
+def test_bad_argument_values_are_usage_errors(net_path, capsys, command,
+                                              flag, value):
+    code, out, err = run(capsys, command, net_path("rev_pair"), flag, value)
+    assert code == 2
+    assert out == "" and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "equilibrium", "embed-verify",
+                                     "curve2d", "certify-surface"])
+def test_format_offers_only_what_is_written(net_path, capsys, command):
+    path = net_path("rev_pair")
+    code, out, err = run(capsys, command, path, "--format", "csv")
+    assert code == 2 and out == "" and "invalid choice" in err
+    code, doc, _ = run_json(capsys, command, path, "--format", "json")
+    assert code == 0 and doc["schema"] == 1
+
+
+# -- README ---------------------------------------------------------------
+
+
+def readme_sh_lines() -> list[str]:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    return [line for block in blocks for line in block.splitlines()]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every ``toric-gac`` line of the README exits 0 on ``.crn`` files
+    written from the corpus, and each one-line writer the README shows
+    writes a file that parses to the corpus network."""
+    lines = readme_sh_lines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("toric-gac ")]
+    writers = [line for line in lines if line.startswith("python -c ")]
+    assert len(commands) >= 8 and writers
+    monkeypatch.chdir(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for line in writers:
+        target = line.rsplit(">", 1)[1].strip()
+        subprocess.run(shlex.quote(sys.executable) + line[len("python"):],
+                       shell=True, check=True, cwd=tmp_path, env=env)
+        written = parse_network((tmp_path / target).read_text())
+        assert written == parse_network(NETWORK_TEXTS[target[:-len(".crn")]])
+    for argv in commands:
+        for arg in argv:
+            if arg.endswith(".crn"):
+                (tmp_path / arg).write_text(NETWORK_TEXTS[arg[:-len(".crn")]],
+                                            encoding="utf-8")
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -91,7 +91,7 @@ def test_shared_edge_splits_band():
     assert max(cert.cover.multiplicity.values()) == 2
     assert cert.epsilon_split == (0.2,) * len(cert.cover.cycles)
     # delta0 recomputed from the split band over all in-cycle pairs
-    ymat = net.complex_matrix()
+    ymat = net.kinetics.Y
     want = 0.0
     for cyc in cert.cover.cycles:
         for a in range(len(cyc)):
@@ -122,28 +122,28 @@ def test_certificate_json_shape():
 
 def test_ordering_example():
     net = load("triangle")
-    ordering = cycle_ordering((0, 1, 2), net.complex_matrix(), (-1.0, -2.0))
+    ordering = cycle_ordering((0, 1, 2), net.kinetics.Y, (-1.0, -2.0))
     # projections: (1,0) -> -1, (0,1) -> -2, (0,0) -> 0
     assert ordering.order == (2, 0, 1)
 
 
 def test_ordering_two_vertices():
     net = load("rev_pair")
-    ordering = cycle_ordering((0, 1), net.complex_matrix(), (1.0, -1.0))
+    ordering = cycle_ordering((0, 1), net.kinetics.Y, (1.0, -1.0))
     assert ordering.order == (0, 1)
-    flipped = cycle_ordering((0, 1), net.complex_matrix(), (-1.0, 1.0))
+    flipped = cycle_ordering((0, 1), net.kinetics.Y, (-1.0, 1.0))
     assert flipped.order == (1, 0)
 
 
 def test_ordering_tie_raises():
     net = load("rev_pair")
     with pytest.raises(TieOnProjection):
-        cycle_ordering((0, 1), net.complex_matrix(), (1.0, 1.0))
+        cycle_ordering((0, 1), net.kinetics.Y, (1.0, 1.0))
 
 
 def test_phi_two_cycle():
     net = load("rev_pair")
-    ordering = cycle_ordering((0, 1), net.complex_matrix(), (1.0, -1.0))
+    ordering = cycle_ordering((0, 1), net.kinetics.Y, (1.0, -1.0))
     x = np.array([5.0, 2.0])
     phi = phi_coefficients(net, (0, 1), [2.0, 3.0], x, ordering)
     assert phi.shape == (1,)
@@ -153,7 +153,7 @@ def test_phi_two_cycle():
 def test_phi_triangle_frozen_value():
     net = load("triangle")
     x = np.array([4.0, 2.0])
-    ordering = cycle_ordering((0, 1, 2), net.complex_matrix(), np.log(x))
+    ordering = cycle_ordering((0, 1, 2), net.kinetics.Y, np.log(x))
     assert ordering.order == (0, 1, 2)
     phi = phi_coefficients(net, (0, 1, 2), [1.0, 1.0, 1.0], x, ordering)
     assert np.allclose(phi, [3.0, 1.0], atol=1e-12)
@@ -174,13 +174,13 @@ def test_phi_reconstruction_random():
                 x = np.exp(rng.uniform(-2.0, 2.0, size=net.n))
                 w = rng.normal(size=net.n)
                 try:
-                    ordering = cycle_ordering(cyc, net.complex_matrix(), w)
+                    ordering = cycle_ordering(cyc, net.kinetics.Y, w)
                 except TieOnProjection:
                     continue
                 phi = phi_coefficients(net, cyc, rates, x, ordering)
                 recon = phi @ ordered_basis(net, ordering)
                 want = np.zeros(net.n)
-                ymat = net.complex_matrix()
+                ymat = net.kinetics.Y
                 for i in range(len(cyc)):
                     u, v = cyc[i], cyc[(i + 1) % len(cyc)]
                     want += rates[i] * float(np.prod(x ** ymat[u])) * (ymat[v] - ymat[u])
@@ -233,7 +233,7 @@ def test_dominance_chain_outside_bands():
         net = load(name)
         cert = build_embedding(net, band)
         normals = cert.arrangement.normal_matrix()
-        ymat = net.complex_matrix()
+        ymat = net.kinetics.Y
         eps_i = cert.epsilon_split[0]
         tries = 0
         while checked < 500 and tries < 400:

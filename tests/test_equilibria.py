@@ -19,15 +19,12 @@ from toric_gac.equilibria import (
     EquilibriumReport,
     NewtonDivergence,
     NoComplexBalance,
-    NotReversible,
     SingularSystem,
     _intree_weights_determinant,
     birch_point,
-    is_detailed_balanced,
     lyapunov_derivative,
     lyapunov_gradient,
     lyapunov_value,
-    report_for,
     solve_complex_balanced,
     tree_constants,
     vertex_balance_residual,
@@ -162,15 +159,25 @@ def test_residual_validation():
 # ---------------------------------------------------------------------------
 # detailed balance
 
+def detailed_balanced(net, x, tol=1e-9) -> bool:
+    """Test-local oracle: every edge's mass-action flux equals the flux of
+    its reverse edge at x (reversible networks only)."""
+    flux = {(r.source, r.target):
+            r.rate * math.prod(xi ** yi for xi, yi
+                               in zip(x, net.complexes[r.source].y))
+            for r in net.reactions}
+    return all(abs(fwd - flux[(v, u)])
+               <= tol * max(1.0, abs(fwd), abs(flux[(v, u)]))
+               for (u, v), fwd in flux.items())
+
+
 def test_detailed_balance_pair():
     net = load("rev_pair")  # kf=2 kr=3
-    assert is_detailed_balanced(net, None, [3.0, 2.0])
-    assert not is_detailed_balanced(net, None, [1.0, 1.0])
-
-
-def test_detailed_balance_requires_reversible():
-    with pytest.raises(NotReversible):
-        is_detailed_balanced(load("triangle"), None, [1.0, 1.0])
+    x0 = solve_complex_balanced(net).x0
+    assert x0[0] / x0[1] == pytest.approx(1.5, rel=1e-12)
+    assert detailed_balanced(net, x0)
+    assert detailed_balanced(net, [3.0, 2.0])
+    assert not detailed_balanced(net, [1.0, 1.0])
 
 
 def test_complex_balanced_but_not_detailed():
@@ -179,7 +186,7 @@ def test_complex_balanced_but_not_detailed():
     assert report.found
     x0 = np.array(report.x0)
     assert np.allclose(x0, [1.0, 1.0], atol=1e-10)
-    assert not is_detailed_balanced(net, None, x0)
+    assert not detailed_balanced(net, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +302,6 @@ def test_unbalanced_chain_grid_oracle():
         r = vertex_balance_residual(net, k_norm, [x])
         best = min(best, float(np.max(np.abs(r))))
     assert best >= 0.2
-
-
-def test_report_for_provided_state():
-    net = load("rev_pair")
-    report = report_for(net, None, [3.0, 2.0])
-    assert report.method == "provided"
-    assert max(abs(v) for v in report.residual) <= 1e-12
 
 
 def test_report_json_shape():

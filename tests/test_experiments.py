@@ -68,12 +68,6 @@ def test_sampled_initial_conditions_are_seeded():
         assert np.all(p >= 0.1) and np.all(p <= 10.0)
 
 
-def test_config_requires_network_source():
-    cfg = ExperimentConfig(initial=InitialConditions.explicit([(1.0, 1.0)]))
-    with pytest.raises(ValueError):
-        run_persistence_experiment(cfg)
-
-
 # -- persistence ----------------------------------------------------------
 
 
@@ -217,15 +211,6 @@ def test_balance_solved_once_per_run(monkeypatch):
     after = run_persistence_experiment(cfg, load("rev_triangle_db"))
     assert len(calls) == 1
     assert after.to_json_dict() == before.to_json_dict()
-
-
-def test_report_written_to_out_dir(tmp_path):
-    cfg = ExperimentConfig(
-        initial=InitialConditions.explicit([(2.0, 1.0)]),
-        out_dir=str(tmp_path))
-    run_persistence_experiment(cfg, UNIT_PAIR)
-    text = (tmp_path / "persistence.json").read_text()
-    assert '"schema": 1' in text and '"kind": "persistence"' in text
 
 
 def test_reports_are_deterministic():

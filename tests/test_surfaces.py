@@ -1,6 +1,5 @@
-"""Zero-separating curves in two species: construction, faithfulness
-adjustment, certificate verification, signed distances, and trajectory
-crossing tests.
+"""Zero-separating curves in two species: construction, certificate
+verification, signed distances, and trajectory crossing tests.
 
 Junction coordinates are placed by bisection and are not frozen here; the
 assertions target structural invariants instead (segment counts, band
@@ -13,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-import toric_gac.surfaces as surfaces
 from toric_gac.corpus import load
 from toric_gac.dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
 from toric_gac.embedding import build_embedding
@@ -22,14 +20,11 @@ from toric_gac.network import Complex, Reaction, ReactionNetwork
 from toric_gac.surfaces import (
     BandsOverlap,
     CurveSegment,
-    InfeasibleAdjustment,
     PolygonalCurve2D,
     SurfaceCertificate,
     build_zero_separating_curve_2d,
     curve_to_certificate,
     curve_to_svg,
-    make_faithful_2d,
-    point_certificate_1d,
     signed_distance_to_curve,
     trajectory_crossing_test,
     verify_zero_separating,
@@ -90,8 +85,9 @@ def test_certificate_rejects_non_unit_normals():
 
 
 def test_point_certificate_requires_positive_point():
+    # the 1-D surface is one point with outward direction +1
     with pytest.raises(ValueError):
-        point_certificate_1d(0.0)
+        SurfaceCertificate((((0.0,), (1.0,)),), 0.0)
 
 
 def test_sampler_requires_positive_count():
@@ -234,49 +230,6 @@ def test_random_arrangements_build_and_verify():
     assert built == 60
 
 
-# -- faithfulness adjustment ---------------------------------------------
-
-
-def test_make_faithful_is_identity_on_fresh_curves():
-    curve = build_zero_separating_curve_2d(TWO, 0.5)
-    assert make_faithful_2d(curve, TWO, 0.5) is curve
-
-
-def test_make_faithful_restores_tilted_connectors(monkeypatch):
-    true_mid = surfaces._mid_normal
-
-    def near_boundary(rays):
-        nu = true_mid(rays)
-        angs = sorted(math.atan2(r[1], r[0]) for r in rays)
-        lo = max(angs[0], 1e-12)
-        a = lo + 3e-7
-        return np.array([math.cos(a), math.sin(a)])
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surfaces, "_mid_normal", near_boundary)
-        tampered = build_zero_separating_curve_2d(TWO, 0.5)
-    margins = [surfaces._connector_margin(s, TWO)
-               for s in tampered.segments if s.band_index is None]
-    assert margins and min(margins) < 1e-6
-    fixed = make_faithful_2d(tampered, TWO, 0.5)
-    assert fixed is not tampered
-    for seg in fixed.segments:
-        if seg.band_index is None:
-            assert surfaces._connector_margin(seg, TWO) >= 1e-6
-    assert verified(fixed, TWO, 0.5).passed
-
-
-def test_make_faithful_raises_when_sector_too_thin():
-    eps_angle = 1e-6
-    v1 = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    c, s = math.cos(eps_angle), math.sin(eps_angle)
-    v2 = np.array([c * v1[0] - s * v1[1], s * v1[0] + c * v1[1]])
-    arr = Arrangement.from_vectors(np.array([v1, v2]))
-    curve = build_zero_separating_curve_2d(arr, 0.0)
-    with pytest.raises(InfeasibleAdjustment):
-        make_faithful_2d(curve, arr, 0.0)
-
-
 # -- certificate verification -------------------------------------------
 
 
@@ -322,11 +275,15 @@ def test_tolerance_bounds_violation_detection():
 
 
 def test_one_species_point_certificate():
+    # a point with outward direction +1: the inclusion below the point
+    # forces dx/dt >= 0
+    def point(x):
+        return SurfaceCertificate((((x,), (1.0,)),), 0.0)
+
     arr1 = Arrangement.from_vectors(np.array([[1.0]]))
-    ok = verify_zero_separating(point_certificate_1d(0.01), arr1, 1.0)
+    ok = verify_zero_separating(point(0.01), arr1, 1.0)
     assert ok.passed
-    inside = verify_zero_separating(
-        point_certificate_1d(float(math.exp(-0.5))), arr1, 1.0)
+    inside = verify_zero_separating(point(float(math.exp(-0.5))), arr1, 1.0)
     assert not inside.passed
     assert len(inside.violations) == 1
 
