@@ -25,7 +25,7 @@ from .experiments import (
     run_global_attractor_experiment,
     run_persistence_experiment,
 )
-from .jsonio import report_json, trajectory_csv, write_text
+from .jsonio import csv_text, report_json, write_text
 from .network import (
     NetworkParseError,
     NotWeaklyReversible,
@@ -93,6 +93,8 @@ def _checked(convert, ok, what: str):
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _band = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_fixed_rates = _checked(float, lambda v: v == 1.0,
+                        "1.0: the global attractor is defined at fixed rates")
 _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
@@ -132,7 +134,9 @@ def cmd_simulate(args) -> int:
         }
         _emit(args, payload, "trajectory.json")
     else:
-        text = trajectory_csv(traj.times, traj.states)
+        header = ["t", *(f"x{i + 1}" for i in range(net.n))]
+        text = csv_text(header, ([t, *x] for t, x in
+                                 zip(traj.times.tolist(), traj.states.tolist())))
         sys.stdout.write(text)
         if args.out:
             write_text(os.path.join(args.out, "trajectory.csv"), text)
@@ -194,31 +198,18 @@ def _experiment_config(args) -> ExperimentConfig:
     )
 
 
-def _records_csv(report) -> str:
-    lines = ["index,final_distance,max_lyapunov_increase,persistence_min,"
-             "converged,persistent,lyapunov_monotone,error"]
-    for i, r in enumerate(report.records):
-        lines.append(",".join([
-            str(i),
-            "" if r.final_distance is None else f"{r.final_distance:.17g}",
-            "" if r.max_lyapunov_increase is None
-            else f"{r.max_lyapunov_increase:.17g}",
-            "" if r.persistence_min is None else f"{r.persistence_min:.17g}",
-            "" if r.converged is None else str(int(r.converged)),
-            "" if r.persistent is None else str(int(r.persistent)),
-            "" if r.lyapunov_monotone is None
-            else str(int(r.lyapunov_monotone)),
-            r.error or "",
-        ]))
-    return "\n".join(lines) + "\n"
+_RECORD_COLUMNS = ("final_distance", "max_lyapunov_increase", "persistence_min",
+                   "converged", "persistent", "lyapunov_monotone", "error")
 
 
 def _run_experiment(args, runner, name: str) -> int:
     report = runner(_experiment_config(args), _load(args.network))
     _emit(args, report.to_json_dict(), f"{name}.json")
     if args.format == "csv" and args.out:
+        rows = ([i, *(getattr(r, c) for c in _RECORD_COLUMNS)]
+                for i, r in enumerate(report.records))
         write_text(os.path.join(args.out, f"{name}.csv"),
-                   _records_csv(report))
+                   csv_text(["index", *_RECORD_COLUMNS], rows))
     return 0 if report.passed else 1
 
 
@@ -241,12 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "toric inclusion certificates, and separating curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, epsilon=False, horizon=False, trials=None, seed=False,
+    band_help = "rate band parameter in (0, 1]"
+
+    def common(p, *, epsilon=None, horizon=False, trials=None, seed=False,
                tol=None, samples=False, formats=("json",)):
         p.add_argument("network", help="network file (.crn)")
-        if epsilon:
-            p.add_argument("--epsilon", type=_band, default=0.5,
-                           help="rate band parameter in (0, 1]")
+        if epsilon is not None:
+            p.add_argument("--epsilon", type=_band, default=0.5, help=epsilon)
         if horizon:
             p.add_argument("--horizon", type=_positive, default=50.0)
         if trials is not None:
@@ -276,26 +268,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-verify",
                        help="sampled inclusion-cone membership")
-    common(p, epsilon=True, trials=1000, seed=True, tol=1e-9)
+    common(p, epsilon=band_help, trials=1000, seed=True, tol=1e-9)
     p.set_defaults(func=cmd_embed_verify)
 
     p = sub.add_parser("curve2d", help="build a zero-separating curve")
-    common(p, epsilon=True)
+    common(p, epsilon=band_help)
     p.set_defaults(func=cmd_curve2d)
 
     p = sub.add_parser("certify-surface",
                        help="verify the curve certificate")
-    common(p, epsilon=True, tol=1e-9, samples=True)
+    common(p, epsilon=band_help, tol=1e-9, samples=True)
     p.set_defaults(func=cmd_certify_surface)
 
     p = sub.add_parser("persist", help="persistence experiment")
-    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6,
-           formats=("json", "csv"))
+    common(p, epsilon=band_help + "; not used yet: the run integrates the "
+           "network's own rates", horizon=True, trials=10, seed=True,
+           tol=1e-6, formats=("json", "csv"))
     p.set_defaults(func=cmd_persist)
 
     p = sub.add_parser("gac", help="global-attractor experiment")
-    common(p, epsilon=True, horizon=True, trials=10, seed=True, tol=1e-6,
+    common(p, horizon=True, trials=10, seed=True, tol=1e-6,
            formats=("json", "csv"))
+    p.add_argument("--epsilon", type=_fixed_rates, default=1.0,
+                   help="only 1.0: the global attractor is defined at fixed "
+                        "rates")
     p.set_defaults(func=cmd_gac)
 
     return parser

@@ -20,10 +20,14 @@ Rate schedules are piecewise constant; when a schedule carries a
 :class:`RateBand`, every queried value must stay inside [epsilon,
 1/epsilon].
 
-The integrator is an explicit Runge-Kutta-Fehlberg pair: it propagates the
-4th-order solution and controls the step with the embedded 5th-order
-estimate.  Steps that would leave the open positive orthant are halved,
-never clamped.  ``integrate`` advances every row of a (B, n) start batch
+The integrator is one adaptive explicit Runge-Kutta-Fehlberg pair: it
+propagates the 4th-order solution and controls the step with the embedded
+5th-order estimate; ``IntegratorOptions`` sets only its relative and
+absolute tolerances.  Each piece starts with a step of 1/64 of its length.
+Steps that would leave the open positive orthant are halved, never
+clamped.  A row fails with :class:`StepSizeUnderflow` when its step falls
+below ``_H_MIN`` or when it has taken ``_MAX_STEPS`` steps without reaching
+the horizon.  ``integrate`` advances every row of a (B, n) start batch
 together; a single start is the B = 1 case.  Rows share the schedule
 breakpoints (``RateSchedule.random`` with one period and horizon gives the
 same ones), so the batch is cut into the same pieces, but each row keeps
@@ -183,25 +187,17 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
     return out if x.ndim == 2 else out[0]
 
 
-def k_variable_field(net: ReactionNetwork, schedule: RateSchedule, t: float,
-                     x) -> np.ndarray:
-    """Field with time-varying rates; shares the accumulation path of the
-    constant-rate evaluator so constant schedules agree bit-for-bit."""
-    return mass_action_field(net, schedule.rates_at(t), x)
-
-
 # ---------------------------------------------------------------------------
 # integration
+
+_H_MIN = 1e-13  # smallest step a row may take before it fails
+_MAX_STEPS = 5_000_000  # step budget of one row
+
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: float | None = None
-    h_min: float = 1e-13
-    h_max: float = math.inf
-    fixed_step: float | None = None
-    max_steps: int = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +311,6 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     B = len(starts)
     if B == 0:
         return []
-    fixed = opts.fixed_step is not None
     failed: list[Exception | None] = [None] * B
     live = np.ones(B, dtype=bool)
     x, t = starts.copy(), np.zeros(B)
@@ -337,18 +332,14 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
             except RateOutOfBand as exc:
                 fail(r, exc)
         t[:] = t0
-        if fixed:
-            h0 = opts.fixed_step
-        else:
-            h0 = opts.h_init if opts.h_init is not None else (t1 - t0) / 64.0
-        h = np.full(B, min(h0, opts.h_max, t1 - t0))
+        h = np.full(B, (t1 - t0) / 64.0)
         edge = 1e-12 * max(1.0, abs(t1))
         while True:
             act = np.flatnonzero(live & (t1 - t > edge))
             if not act.size:
                 break
-            if rounds > opts.max_steps:
-                for r in act[steps[act] > opts.max_steps]:
+            if rounds > _MAX_STEPS:
+                for r in act[steps[act] > _MAX_STEPS]:
                     fail(r, StepSizeUnderflow("step budget exhausted"))
                 act = act[live[act]]
             rounds += 1
@@ -357,7 +348,7 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
             rest = t1 - ta
             last = ha >= rest
             h_step = np.where(last, rest, ha)
-            small = h_step < opts.h_min
+            small = h_step < _H_MIN
             if small.any():
                 for i in np.flatnonzero(small):
                     fail(act[i], StepSizeUnderflow(
@@ -375,15 +366,9 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
             if idx.size < act.size:
                 left = np.ones(act.size, dtype=bool)
                 left[idx] = False
-                if fixed:
-                    for i in np.flatnonzero(left):
-                        fail(act[i], StepSizeUnderflow(
-                            f"fixed step {float(h_step[i])} leaves the "
-                            f"positive orthant at t={float(ta[i])}"))
-                else:
-                    h[act[left]] = 0.5 * h_step[left]
+                h[act[left]] = 0.5 * h_step[left]
                 x4, x5 = x4[good], x5[good]
-            if not fixed and idx.size:
+            if idx.size:
                 scale = opts.atol + opts.rtol * np.maximum(
                     np.abs(xa[idx]), np.abs(x4))
                 errs = (np.abs(x5 - x4) / scale).max(axis=1).tolist()
@@ -393,9 +378,7 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
                     max(0.2, 0.9 * e ** -0.2) if e > 1.0
                     else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
                     for e in errs])
-                h_new = h_step[idx] * factor
-                h_new[ok] = np.minimum(h_new[ok], opts.h_max)
-                h[act[idx]] = h_new
+                h[act[idx]] = h_step[idx] * factor
                 idx, x4 = idx[ok], x4[ok]
             rows = act[idx]
             t[rows] = np.where(last[idx], t1, ta[idx] + h_step[idx])
@@ -421,11 +404,9 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     return out
 
 
-def persistence_metrics(traj: Trajectory, tail_fraction: float = 0.2) -> np.ndarray:
-    """Per-species minimum over the trailing window of samples."""
+def persistence_metrics(traj: Trajectory) -> np.ndarray:
+    """Per-species minimum over the trailing fifth of the samples."""
     if traj.times.size == 0:
         raise EmptyTrajectory("trajectory holds no samples")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    k = max(1, int(math.ceil(tail_fraction * traj.times.size)))
+    k = max(1, int(math.ceil(0.2 * traj.times.size)))
     return np.min(traj.states[-k:], axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RateBand, RateSchedule, k_variable_field
+from .dynamics import RateBand, RateSchedule, mass_action_field
 from .geometry import Arrangement, ConeMembership, cone_membership, inclusion_cone
 from .network import (
     CycleCover,
@@ -159,7 +159,7 @@ def verify_embedding_at(cert: EmbeddingCertificate, net: ReactionNetwork,
     """Membership of the field value in the inclusion cone at log x, with
     the nonnegative combination or a separating witness."""
     x = np.asarray(x, dtype=float)
-    v = k_variable_field(net, schedule, t, x)
+    v = mass_action_field(net, schedule.rates_at(t), x)
     gens = inclusion_cone(cert.arrangement, cert.delta0, np.log(x))
     return cone_membership(gens, v, tol)
 

@@ -25,6 +25,8 @@ from .network import (
 )
 
 _ENUMERATION_LIMIT = 8  # per-class vertex count where exhaustion stays cheap
+_BIRCH_TOL = 1e-10  # reduced-gradient norm at which the Birch Newton stops
+_BIRCH_MAX_ITER = 80
 
 
 class SingularSystem(RuntimeError):
@@ -259,7 +261,6 @@ def lyapunov_derivative(net: ReactionNetwork, rates, x, x0) -> float:
 
 
 def birch_point(net: ReactionNetwork, rates, x_ref,
-                tol: float = 1e-10, max_iter: int = 80,
                 equilibrium=None) -> np.ndarray:
     """Minimizer of V(.; x0) over (x_ref + S0) intersected with the open
     orthant, via damped Newton on the reduced strictly convex problem.
@@ -292,9 +293,9 @@ def birch_point(net: ReactionNetwork, rates, x_ref,
 
     u = np.zeros(s)
     x = x_ref.copy()
-    for _ in range(max_iter):
+    for _ in range(_BIRCH_MAX_ITER):
         grad = basis.T @ (np.log(x) - lnx0)
-        if float(np.linalg.norm(grad)) <= tol:
+        if float(np.linalg.norm(grad)) <= _BIRCH_TOL:
             return x
         hess = basis.T @ (basis / x[:, None])
         try:
@@ -314,5 +315,5 @@ def birch_point(net: ReactionNetwork, rates, x_ref,
             raise NewtonDivergence(
                 f"line search stalled; gradient norm {np.linalg.norm(grad)}")
     raise NewtonDivergence(
-        f"no convergence in {max_iter} iterations; "
+        f"no convergence in {_BIRCH_MAX_ITER} iterations; "
         f"gradient norm {np.linalg.norm(basis.T @ (np.log(x) - lnx0))}")

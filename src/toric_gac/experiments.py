@@ -26,7 +26,6 @@ from .equilibria import (
 from .network import ReactionNetwork
 
 _LYAPUNOV_SLACK = 1e-9  # largest consecutive increase still counted monotone
-_TAIL_FRACTION = 0.2  # trailing share of samples the persistence minimum reads
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def _measure(ic: np.ndarray, birch, traj,
         max_inc = max(increases) if increases else 0.0
         final = traj.states[-1]
         dist = float(np.max(np.abs(final - birch)))
-        pmin = float(np.min(persistence_metrics(traj, _TAIL_FRACTION)))
+        pmin = float(np.min(persistence_metrics(traj)))
         floor = (cfg.persistence_floor if cfg.persistence_floor is not None
                  else 0.5 * float(np.min(birch)))
         return TrajectoryRecord(

@@ -68,12 +68,12 @@ class Arrangement:
     hyperplanes: tuple[Hyperplane, ...]
 
     @staticmethod
-    def from_vectors(vecs, dedup_tol: float = 1e-12) -> "Arrangement":
+    def from_vectors(vecs) -> "Arrangement":
         kept: list[Hyperplane] = []
         for v in vecs:
             h = Hyperplane.from_vector(v)
             hv = h.vector
-            if all(np.linalg.norm(hv - k.vector) > dedup_tol for k in kept):
+            if all(np.linalg.norm(hv - k.vector) > 1e-12 for k in kept):
                 kept.append(h)
         return Arrangement(tuple(kept))
 

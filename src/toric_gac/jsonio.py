@@ -9,6 +9,8 @@ top-level report carries ``"schema": 1``.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
@@ -41,17 +43,25 @@ def report_json(payload: dict) -> str:
     return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
 
-def trajectory_csv(times, states) -> str:
-    """CSV export with header ``t,x1,...,xn`` at 17 significant digits."""
-    states = np.asarray(states, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if states.ndim != 2 or times.shape[0] != states.shape[0]:
-        raise ValueError("times and states must align row-wise")
-    n = states.shape[1]
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-    for t, row in zip(times, states):
-        lines.append(",".join(f"{v:.17g}" for v in (float(t), *row)))
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """CSV with one header line: floats at 17 significant digits, None as
+    an empty cell, booleans as 0/1; a cell is quoted only when it holds a
+    comma, a quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_text(path: str, text: str) -> None:

@@ -246,105 +246,74 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
         seg = CurveSegment(tuple(start), (tiny, scale), nu, None)
         return PolygonalCurve2D((seg,), scale, delta)
 
+    ns = [np.array(arr.hyperplanes[i].normal) for i in crossings]
     dirs = [_interior_direction(arr.hyperplanes[i].normal) for i in crossings]
     segments: list[CurveSegment] = []
+
+    def ahead(p, u, tau, pos):
+        """No band boundary from crossing ``pos`` on is met before tau."""
+        for n2 in ns[pos:]:
+            if _first_hit(p, u, n2, pad) < tau:
+                raise _RetryScale
+
+    def connector(p, probe, pos):
+        """Append the connector from p along the middle normal of the
+        sector holding ``probe`` to the entry of crossing ``pos`` (the axis
+        corridor when pos == k); return its end."""
+        nu_c = _mid_normal(_sector_normal_cone(normals, probe))
+        u_c = np.array([-nu_c[1], nu_c[0]])
+        if not (u_c[0] < 0.0 < u_c[1]):
+            raise _RetryScale
+        if pos == k:
+            tau = _axis_hit(p, u_c, tiny)
+        else:
+            tau = _first_hit(p, u_c, ns[pos], pad)
+            ahead(p, u_c, tau, pos + 1)
+        q = p + tau * u_c
+        _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals, delta, None)
+        segments.append(CurveSegment(tuple(p), tuple(q),
+                                     (float(nu_c[0]), float(nu_c[1])), None))
+        return q
+
     p = start
     for pos, hyp in enumerate(crossings):
-        n = np.array(arr.hyperplanes[hyp].normal)
+        n = ns[pos]
         u = -n  # travel direction (-, +): n . log x strictly decreasing
         if pos == 0:
             # absorb the leading run into the first crossing segment when
             # the band exit stays clear of the axis corridor; otherwise
             # approach the band through the start cell first
-            absorbed = False
             try:
                 tau_try = _first_hit(p, u, n, -pad)
                 absorbed = p[0] + tau_try * u[0] >= 10.0 * tiny
             except _RetryScale:
                 absorbed = False
             if not absorbed:
-                rays = _sector_normal_cone(normals, np.log(p))
-                nu_c = _mid_normal(rays)
-                u_c = np.array([-nu_c[1], nu_c[0]])
-                if not (u_c[0] < 0.0 < u_c[1]):
-                    raise _RetryScale
-                tau = _first_hit(p, u_c, n, pad)
-                for nxt in crossings[1:]:
-                    n2 = np.array(arr.hyperplanes[nxt].normal)
-                    if _first_hit(p, u_c, n2, pad) < tau:
-                        raise _RetryScale
-                q = p + tau * u_c
-                _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals,
-                             delta, None)
-                segments.append(CurveSegment(tuple(p), tuple(q),
-                                             (float(nu_c[0]), float(nu_c[1])),
-                                             None))
-                p = q
+                p = connector(p, np.log(p), 0)
         # later entries sit exactly at +pad (bisection residue either side)
         elif float(n @ np.log(p)) <= 0.5 * (pad + delta):
             raise _RetryScale
-        last = pos == k - 1
         tau = _first_hit(p, u, n, -pad)
-        if last:
-            if p[0] <= tiny:
-                last_done = True  # already inside the axis corridor
-            else:
-                # absorb the trailing run into the crossing when the band
-                # is already behind by the time the corridor is reached
-                tau_axis = _axis_hit(p, u, tiny)
-                if tau_axis >= tau:
-                    tau = tau_axis
-                    last_done = True
-                else:
-                    last_done = False
-        else:
-            # no later band boundary may come first
-            for nxt in crossings[pos + 1:]:
-                n2 = np.array(arr.hyperplanes[nxt].normal)
-                if float(n2 @ np.log(p)) <= pad:
-                    raise _RetryScale
-                if _first_hit(p, u, n2, pad) < tau:
-                    raise _RetryScale
+        ahead(p, u, tau, pos + 1)
+        at_axis = pos == k - 1 and p[0] <= tiny  # inside the axis corridor
+        if pos == k - 1 and not at_axis:
+            # absorb the trailing run into the crossing when the band is
+            # already behind by the time the corridor is reached
+            tau_axis = _axis_hit(p, u, tiny)
+            if tau_axis >= tau:
+                tau, at_axis = tau_axis, True
         q = p + tau * u
         nu = -dirs[pos]
         _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals, delta, hyp)
         segments.append(CurveSegment(tuple(p), tuple(q),
                                      (float(nu[0]), float(nu[1])), hyp))
         p = q
-        if last:
-            if not last_done:
-                # trailing connector through the final sector to the axis
-                probe = dirs[pos] + np.array([-1.0, 0.0])
-                rays = _sector_normal_cone(normals, probe)
-                nu_c = _mid_normal(rays)
-                u_c = np.array([-nu_c[1], nu_c[0]])
-                if not (u_c[0] < 0.0 < u_c[1]):
-                    raise _RetryScale
-                q = p + _axis_hit(p, u_c, tiny) * u_c
-                _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals,
-                             delta, None)
-                segments.append(CurveSegment(tuple(p), tuple(q),
-                                             (float(nu_c[0]), float(nu_c[1])),
-                                             None))
-            break
-        # connector across the sector between crossings pos and pos+1
-        probe = dirs[pos] + dirs[pos + 1]
-        rays = _sector_normal_cone(normals, probe)
-        nu_c = _mid_normal(rays)
-        u_c = np.array([-nu_c[1], nu_c[0]])
-        if not (u_c[0] < 0.0 < u_c[1]):
-            raise _RetryScale
-        n_next = np.array(arr.hyperplanes[crossings[pos + 1]].normal)
-        tau = _first_hit(p, u_c, n_next, pad)
-        for nxt in crossings[pos + 2:]:
-            n2 = np.array(arr.hyperplanes[nxt].normal)
-            if _first_hit(p, u_c, n2, pad) < tau:
-                raise _RetryScale
-        q = p + tau * u_c
-        _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals, delta, None)
-        segments.append(CurveSegment(tuple(p), tuple(q),
-                                     (float(nu_c[0]), float(nu_c[1])), None))
-        p = q
+        if pos < k - 1:
+            # connector across the sector between this crossing and the next
+            p = connector(p, dirs[pos] + dirs[pos + 1], pos + 1)
+        elif not at_axis:
+            # trailing connector through the final sector to the axis
+            connector(p, dirs[pos] + np.array([-1.0, 0.0]), k)
 
     junctions = [np.array(s.start) for s in segments[1:]]
     _check_clear(junctions, normals, delta, None)
@@ -525,9 +494,10 @@ def trajectory_crossing_test(curve: PolygonalCurve2D, net: ReactionNetwork,
 # ---------------------------------------------------------------------------
 # SVG export
 
-def curve_to_svg(curve: PolygonalCurve2D, arr: Arrangement | None = None,
-                 width: int = 480, height: int = 480) -> str:
-    """Log-log rendering of the curve; band center lines drawn dashed."""
+def curve_to_svg(curve: PolygonalCurve2D, arr: Arrangement | None = None) -> str:
+    """480 x 480 log-log rendering of the curve; band center lines drawn
+    dashed."""
+    width = height = 480
     pts = []
     for seg in curve.segments:
         a, b = np.array(seg.start), np.array(seg.end)

@@ -6,6 +6,7 @@ Network files are written into a temporary directory from
 ``corpus.NETWORK_TEXTS``, plus two networks that exist only here.
 """
 
+import csv
 import json
 import os
 import re
@@ -219,9 +220,25 @@ def test_gac_subcommand_with_files(net_path, tmp_path, capsys):
                             "--out", str(tmp_path), "--format", "csv")
     assert code == 0 and doc["passed"] is True
     assert (tmp_path / "global_attractor.json").exists()
-    csv = (tmp_path / "global_attractor.csv").read_text()
-    assert csv.splitlines()[0].startswith("index,final_distance")
-    assert len(csv.strip().splitlines()) == 4
+    text = (tmp_path / "global_attractor.csv").read_text()
+    rows = list(csv.reader(text.splitlines()))
+    columns = ["final_distance", "max_lyapunov_increase", "persistence_min",
+               "converged", "persistent", "lyapunov_monotone", "error"]
+    assert rows[0] == ["index", *columns]
+    assert len(rows) == 1 + len(doc["trajectories"]) == 4
+    # every cell reads back as the JSON report's value
+    for i, (row, rec) in enumerate(zip(rows[1:], doc["trajectories"])):
+        assert row[0] == str(i)
+        for cell, col in zip(row[1:], columns, strict=True):
+            want = rec[col]
+            if want is None:
+                assert cell == ""
+            elif isinstance(want, bool):
+                assert cell == str(int(want))
+            elif isinstance(want, float):
+                assert float(cell) == want
+            else:
+                assert cell == want
 
 
 def test_gac_reports_are_byte_identical(net_path, capsys):
@@ -252,6 +269,7 @@ def test_pipeline_consistency_equilibrium_vs_gac(net_path, capsys):
     ("persist", "--epsilon", "2"),
     ("persist", "--trials", "0"),
     ("gac", "--horizon", "-1"),
+    ("gac", "--epsilon", "0.5"),  # the attractor is defined at fixed rates
     ("embed-verify", "--epsilon", "2"),
     ("embed-verify", "--trials", "0"),
     ("simulate", "--horizon", "-1"),

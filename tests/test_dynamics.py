@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from toric_gac import dynamics
 from toric_gac.corpus import NETWORK_TEXTS, load
 from toric_gac.dynamics import (
     DimensionMismatch,
@@ -22,11 +23,10 @@ from toric_gac.dynamics import (
     StepSizeUnderflow,
     Trajectory,
     integrate,
-    k_variable_field,
     mass_action_field,
     persistence_metrics,
 )
-from toric_gac.jsonio import trajectory_csv
+from toric_gac.jsonio import csv_text
 from toric_gac.network import parse_network
 
 
@@ -138,15 +138,6 @@ def test_batched_field_input_validation():
         mass_action_field(net, None, np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
-def test_k_variable_field_bitwise_consistent():
-    net = load("rev_pair")
-    sched = RateSchedule.constant([2.0, 3.0])
-    x = np.array([1.7, 0.3])
-    a = k_variable_field(net, sched, 0.42, x)
-    b = mass_action_field(net, [2.0, 3.0], x)
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -221,13 +212,18 @@ def test_full_rank_network_has_zero_residual():
     assert traj.conserved_residual == 0.0
 
 
-def test_fixed_step_fourth_order():
+def test_fehlberg_step_fourth_order():
+    # a fixed-step loop over the integrator's Fehlberg step: halving h must
+    # cut the error at t = 1 by at least 8 (16 for an exact 4th order)
     net = load("rev_pair")
     errs = []
-    for h in (0.1, 0.05):
-        traj = integrate(net, [1.0, 1.0], [2.0, 1.0], 1.0,
-                         IntegratorOptions(fixed_step=h))
-        errs.append(abs(traj.states[-1, 0] - pair_closed_form(1.0)))
+    for h, n_steps in ((0.1, 10), (0.05, 20)):
+        x = np.array([[2.0, 1.0]])
+        for _ in range(n_steps):
+            kept, x, _ = dynamics._rkf_step(net, np.ones((1, 2)), x,
+                                            np.array([[h]]))
+            assert kept.tolist() == [0]
+        errs.append(abs(x[0, 0] - pair_closed_form(1.0)))
     assert errs[0] / errs[1] >= 8.0
 
 
@@ -262,12 +258,6 @@ def test_adaptive_positivity_underflow():
     net = parse_network(BOUNDARY_HIT)
     with pytest.raises(StepSizeUnderflow):
         integrate(net, None, [0.5], 1.0)
-
-
-def test_fixed_step_positivity_underflow():
-    net = parse_network(BOUNDARY_HIT)
-    with pytest.raises(StepSizeUnderflow):
-        integrate(net, None, [0.5], 1.0, IntegratorOptions(fixed_step=0.3))
 
 
 def test_positivity_no_false_alarm_on_decay():
@@ -427,35 +417,35 @@ def test_batched_rows_follow_the_scalar_controller():
 
 def test_failing_rows_leave_the_other_rows_unchanged():
     net = parse_network(DRAIN_AND_DECAY)
-    opts = IntegratorOptions(h_init=1.0)
     schedules = [RateSchedule.constant(k) for k in
-                 ([1e-3, 0.1],    # smooth decay
-                  [1e-12, 8.0],   # steep decay: the first steps need halving
-                  [1.0, 1e-3])]   # drained to zero near t = 0.5
+                 ([1e-3, 0.1],     # smooth decay
+                  [1e-300, 100.0],  # steep decay: the first steps need halving
+                  [1.0, 1e-3])]    # drained to zero near t = 0.5
     starts = np.array([[1.0], [1.0], [0.5]])
-    # the steep row's first step leaves the orthant, so it must be halved
-    with pytest.raises(StepSizeUnderflow, match="leaves the positive orthant"):
-        integrate(net, schedules[1], starts[1], 2.0,
-                  IntegratorOptions(fixed_step=1.0))
-    singles = single_runs(net, schedules, starts, 2.0, opts)
+    # the steep row's first step, 1/64 of the horizon 2, leaves the orthant,
+    # so it must be halved
+    kept, _, _ = dynamics._rkf_step(net, schedules[1].values, starts[1:2],
+                                    np.array([[2.0 / 64.0]]))
+    assert kept.size == 0
+    singles = single_runs(net, schedules, starts, 2.0)
     assert isinstance(singles[1], Trajectory)
     assert isinstance(singles[2], StepSizeUnderflow)
     assert "below minimum" in str(singles[2])
-    batch = integrate(net, schedules, starts, 2.0, opts)
+    batch = integrate(net, schedules, starts, 2.0)
     assert_same_rows(batch, singles)
     # without the failing row the other rows come out the same
-    assert_same_rows(integrate(net, schedules[:2], starts[:2], 2.0, opts),
+    assert_same_rows(integrate(net, schedules[:2], starts[:2], 2.0),
                      singles[:2])
 
 
-def test_step_budget_fails_only_its_row():
+def test_step_budget_fails_only_its_row(monkeypatch):
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
     net = load("rev_pair")
-    opts = IntegratorOptions(max_steps=20)
     starts = np.array([[1.5, 1.0], [2.0, 1.0], [0.01, 5.0]])  # (1.5, 1) rests
-    singles = single_runs(net, [None] * 3, starts, 10.0, opts)
+    singles = single_runs(net, [None] * 3, starts, 10.0)
     assert isinstance(singles[0], Trajectory)
     assert str(singles[2]) == "step budget exhausted"
-    assert_same_rows(integrate(net, None, starts, 10.0, opts), singles)
+    assert_same_rows(integrate(net, None, starts, 10.0), singles)
 
 
 def test_batch_input_validation():
@@ -484,18 +474,16 @@ def test_persistence_metrics_trailing_window():
     states = np.column_stack([10.0 - times, np.full(10, 5.0)])
     traj = Trajectory(times, states, 0.0)
     # ceil(0.2 * 10) = 2 trailing samples: x1 in {2, 1}, x2 = 5
-    assert np.array_equal(persistence_metrics(traj, 0.2), [1.0, 5.0])
-    assert np.array_equal(persistence_metrics(traj, 1.0), [1.0, 5.0])
+    assert np.array_equal(persistence_metrics(traj), [1.0, 5.0])
     with pytest.raises(EmptyTrajectory):
         persistence_metrics(Trajectory(np.zeros(0), np.zeros((0, 2)), 0.0))
-    with pytest.raises(ValueError):
-        persistence_metrics(traj, 0.0)
 
 
 def test_csv_export_round_trips_exactly():
     net = load("rev_pair")
     traj = integrate(net, [1.0, 1.0], [2.0, 1.0], 1.0)
-    text = trajectory_csv(traj.times, traj.states)
+    text = csv_text(["t", "x1", "x2"],
+                    ([t, *x] for t, x in zip(traj.times, traj.states)))
     lines = text.strip().split("\n")
     assert lines[0] == "t,x1,x2"
     assert len(lines) == 1 + traj.times.size

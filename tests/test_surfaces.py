@@ -192,6 +192,25 @@ def test_overlapping_bands_raise():
         build_zero_separating_curve_2d(arr, 1.0)
 
 
+def test_later_band_boundaries_stop_the_chain():
+    # a seeded random arrangement on which a crossing that ignored the
+    # boundaries of later bands would run past one and turn the chain back
+    # (ValueError); the builder must give a verified curve or BandsOverlap
+    arr = Arrangement.from_vectors(np.array([
+        [-0.1460409166291835, -0.3565660459813679],
+        [-0.3972242751651344, 2.6512562221679703],
+        [-1.0081071737304717, 0.7966149830976951],
+        [0.1221556020122976, 0.07444391679969858],
+        [-0.5293397115656918, -0.0700030880147155],
+        [0.2391094047887188, -1.028134361602394]]))
+    delta = 0.003674551417483155
+    try:
+        curve = build_zero_separating_curve_2d(arr, delta)
+    except BandsOverlap:
+        return
+    assert verified(curve, arr, delta).passed
+
+
 # -- randomized construction suite --------------------------------------
 
 
