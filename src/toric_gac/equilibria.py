@@ -4,14 +4,15 @@ Birch points.
 A positive state x0 is vertex balanced when at every vertex the incoming
 mass-action flows sum to the outgoing ones.  The positive kernel of each
 linkage class's flow Laplacian is spanned by the rooted in-tree weights
-(matrix-tree theorem); solving y_v . log x0 = log K_v + alpha_class in
-least squares and back-substituting decides existence.
+(matrix-tree theorem), computed exactly in integers and rounded once to
+float; solving y_v . log x0 = log K_v + alpha_class in least squares and
+back-substituting decides existence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .network import (
     stoichiometric_subspace,
 )
 
-_ENUMERATION_LIMIT = 8  # per-class vertex count where exhaustion stays cheap
 _BIRCH_TOL = 1e-10  # reduced-gradient norm at which the Birch Newton stops
 _BIRCH_MAX_ITER = 80
 
@@ -102,53 +102,41 @@ def _class_edges(net: ReactionNetwork, members: tuple[int, ...], k: np.ndarray):
                     k[inside].tolist()))
 
 
-def _intree_weights_enumerate(members, edges) -> dict[int, float]:
-    """Exhaustive in-tree sum: pick one outgoing edge per non-root vertex
-    and keep the choices whose parent map reaches the root acyclically."""
-    out_edges: dict[int, list[tuple[int, float]]] = {v: [] for v in members}
-    for u, v, w in edges:
-        out_edges[u].append((v, w))
-    K = {}
-    for root in members:
-        others = [v for v in members if v != root]
-        total = 0.0
-        for choice in product(*(out_edges[v] for v in others)):
-            parent = {v: c[0] for v, c in zip(others, choice)}
-            ok = True
-            for v in others:
-                seen = set()
-                cur = v
-                while cur != root:
-                    if cur in seen:
-                        ok = False
-                        break
-                    seen.add(cur)
-                    cur = parent[cur]
-                if not ok:
-                    break
-            if ok:
-                w = 1.0
-                for _, ew in choice:
-                    w *= ew
-                total += w
-        K[root] = total
-    return K
+def _intree_weights(members, edges) -> dict[int, float]:
+    """Matrix-tree route, exact: K[v] is the minor of the out-degree
+    Laplacian without v's row and column, rounded once to float.
 
-
-def _intree_weights_determinant(members, edges) -> dict[int, float]:
-    """Matrix-tree route: K[v] = det of the out-degree Laplacian with v's
-    row and column removed."""
+    Rates are binary fractions, so one power of two D makes the Laplacian
+    integral.  Each minor comes from Bareiss' fraction-free elimination,
+    whose divisions are exact; on a weakly reversible class the reduced
+    Laplacian is a nonsingular M-matrix, so its pivots are positive and no
+    pivoting is needed.  A weight beyond the float range becomes inf.
+    """
+    ratios = [w.as_integer_ratio() for _, _, w in edges]
+    D = max((q for _, q in ratios), default=1)  # lcm of powers of two
     idx = {v: i for i, v in enumerate(members)}
     c = len(members)
-    lap = np.zeros((c, c))
-    for u, v, w in edges:
-        lap[idx[u], idx[v]] -= w
-        lap[idx[u], idx[u]] += w
+    lap = [[0] * c for _ in range(c)]
+    for (u, v, _), (p, q) in zip(edges, ratios):
+        w = p * (D // q)
+        lap[idx[u]][idx[v]] -= w
+        lap[idx[u]][idx[u]] += w
     K = {}
-    for v in members:
-        i = idx[v]
-        keep = [j for j in range(c) if j != i]
-        K[v] = float(np.linalg.det(lap[np.ix_(keep, keep)])) if keep else 1.0
+    for root in members:
+        i = idx[root]
+        a = [[x for j, x in enumerate(row) if j != i]
+             for r, row in enumerate(lap) if r != i]
+        prev = 1
+        for t in range(c - 2):
+            for r in range(t + 1, c - 1):
+                for s in range(t + 1, c - 1):
+                    a[r][s] = (a[r][s] * a[t][t] - a[r][t] * a[t][s]) // prev
+            prev = a[t][t]
+        minor = a[-1][-1] if a else 1
+        try:
+            K[root] = minor / D ** (c - 1)  # int / int is correctly rounded
+        except OverflowError:
+            K[root] = math.inf
     return K
 
 
@@ -165,8 +153,8 @@ def _flow_laplacian(members, edges) -> np.ndarray:
 
 
 def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
-    """Rooted in-tree weights per vertex.  Exhaustive enumeration for
-    classes of at most 8 vertices, determinant minors above."""
+    """Rooted in-tree weights per vertex: the exact matrix-tree minors of
+    each class, correctly rounded to float."""
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("tree constants need a weakly reversible network")
     k = _edge_rates(net, rates)
@@ -174,10 +162,7 @@ def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
     K = [0.0] * net.m
     for members in classes:
         edges = _class_edges(net, members, k)
-        if len(members) <= _ENUMERATION_LIMIT:
-            weights = _intree_weights_enumerate(members, edges)
-        else:
-            weights = _intree_weights_determinant(members, edges)
+        weights = _intree_weights(members, edges)
         vec = np.array([weights[v] for v in members])
         if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
             raise SingularSystem(

@@ -75,7 +75,6 @@ class ExperimentConfig:
     horizon: float = 50.0
     initial: InitialConditions = field(default_factory=InitialConditions)
     tol: float = 1e-6
-    persistence_floor: float | None = None  # None: half the Birch minimum
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -152,8 +151,7 @@ def _measure(ic: np.ndarray, birch, traj,
         final = traj.states[-1]
         dist = float(np.max(np.abs(final - birch)))
         pmin = float(np.min(persistence_metrics(traj)))
-        floor = (cfg.persistence_floor if cfg.persistence_floor is not None
-                 else 0.5 * float(np.min(birch)))
+        floor = 0.5 * float(np.min(birch))
         return TrajectoryRecord(
             initial=tuple(float(c) for c in ic),
             birch=tuple(float(c) for c in birch),

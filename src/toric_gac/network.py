@@ -381,49 +381,23 @@ def parse_network(text: str) -> ReactionNetwork:
 # ---------------------------------------------------------------------------
 # graph structure
 
-def strongly_connected_components(net: ReactionNetwork) -> list[int]:
-    """Component index per complex (Kosaraju, iterative)."""
-    m = net.m
-    adj = net.out_neighbors()
-    radj: list[list[int]] = [[] for _ in range(m)]
-    for u in range(m):
+def _shortest_path(adj: list[list[int]], src: int, dst: int) -> list[int] | None:
+    """BFS-shortest path src -> dst as a vertex list, or None when dst is
+    unreachable; ties go by edge order, so the path is deterministic."""
+    prev: dict[int, int] = {src: -1}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            path = [u]
+            while prev[path[-1]] != -1:
+                path.append(prev[path[-1]])
+            return path[::-1]
         for v in adj[u]:
-            radj[v].append(u)
-
-    order: list[int] = []
-    seen = [False] * m
-    for root in range(m):
-        if seen[root]:
-            continue
-        stack = [(root, 0)]
-        seen[root] = True
-        while stack:
-            u, i = stack[-1]
-            if i < len(adj[u]):
-                stack[-1] = (u, i + 1)
-                v = adj[u][i]
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, 0))
-            else:
-                stack.pop()
-                order.append(u)
-
-    comp = [-1] * m
-    label = 0
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        stack2 = [root]
-        comp[root] = label
-        while stack2:
-            u = stack2.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = label
-                    stack2.append(v)
-        label += 1
-    return comp
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    return None
 
 
 def linkage_classes(net: ReactionNetwork) -> list[list[int]]:
@@ -449,10 +423,11 @@ def linkage_classes(net: ReactionNetwork) -> list[list[int]]:
 
 
 def is_weakly_reversible(net: ReactionNetwork) -> bool:
-    """True iff every edge stays inside one strongly connected component,
-    i.e. every weak component is strongly connected."""
-    comp = strongly_connected_components(net)
-    return all(comp[r.source] == comp[r.target] for r in net.reactions)
+    """True iff every edge u -> v has a path back v -> u, i.e. every edge
+    lies inside a strongly connected component."""
+    adj = net.out_neighbors()
+    return all(_shortest_path(adj, r.target, r.source) is not None
+               for r in net.reactions)
 
 
 def is_reversible(net: ReactionNetwork) -> bool:
@@ -480,45 +455,25 @@ def deficiency(net: ReactionNetwork) -> int:
 
 def cycle_cover(net: ReactionNetwork) -> CycleCover:
     """Cover every edge by a directed cycle: for each edge (u, v) not yet
-    covered, close it with a BFS-shortest path v -> u inside the strongly
-    connected component of both endpoints.  Cycles may share edges; the
-    multiplicity map counts the sharing.
+    covered, close it with a BFS-shortest path v -> u.  Every vertex on
+    such a path lies in the strongly connected component of u and v.
+    Cycles may share edges; the multiplicity map counts the sharing.
 
-    Raises :class:`NotWeaklyReversible` when some edge joins two components.
+    Raises :class:`NotWeaklyReversible` at the first edge, in edge order,
+    with no path back; a covered edge always has one.
     """
-    comp = strongly_connected_components(net)
-    for r in net.reactions:
-        if comp[r.source] != comp[r.target]:
-            raise NotWeaklyReversible(
-                f"edge {r.source}->{r.target} leaves its strongly connected "
-                "component")
-
     adj = net.out_neighbors()
-
-    def shortest_path(src: int, dst: int, cid: int) -> list[int]:
-        # BFS restricted to one component; deterministic via edge order.
-        prev: dict[int, int] = {src: -1}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if u == dst:
-                path = [u]
-                while prev[path[-1]] != -1:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            for v in adj[u]:
-                if comp[v] == cid and v not in prev:
-                    prev[v] = u
-                    queue.append(v)
-        raise AssertionError("strongly connected component lost a path")
-
     cycles: list[tuple[int, ...]] = []
     multiplicity: dict[tuple[int, int], int] = {}
     for r in net.reactions:
         edge = (r.source, r.target)
         if edge in multiplicity:
             continue
-        back = shortest_path(r.target, r.source, comp[r.source])
+        back = _shortest_path(adj, r.target, r.source)
+        if back is None:
+            raise NotWeaklyReversible(
+                f"edge {r.source}->{r.target} leaves its strongly connected "
+                "component")
         cyc = tuple([r.source] + back[:-1])
         cycles.append(cyc)
         for i in range(len(cyc)):

@@ -262,8 +262,6 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
         corridor when pos == k); return its end."""
         nu_c = _mid_normal(_sector_normal_cone(normals, probe))
         u_c = np.array([-nu_c[1], nu_c[0]])
-        if not (u_c[0] < 0.0 < u_c[1]):
-            raise _RetryScale
         if pos == k:
             tau = _axis_hit(p, u_c, tiny)
         else:

@@ -2,11 +2,12 @@
 
 The test-local in-tree oracle enumerates (m-1)-subsets of class edges and
 keeps those forming a spanning in-tree — a different algorithm from the
-package's per-vertex out-edge product and from its determinant route, so
-the three are independent cross-checks.
+package's matrix-tree minors, so the two are independent cross-checks.
+With ``Fraction`` rates the oracle's sum is exact.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +21,6 @@ from toric_gac.equilibria import (
     NewtonDivergence,
     NoComplexBalance,
     SingularSystem,
-    _intree_weights_determinant,
     birch_point,
     lyapunov_derivative,
     lyapunov_gradient,
@@ -41,9 +41,10 @@ from toric_gac.network import (
 # oracles
 
 def intree_weight_oracle(members, edges, root):
-    """Sum over (m-1)-edge subsets that form a spanning in-tree at root."""
+    """Sum over (m-1)-edge subsets that form a spanning in-tree at root;
+    exact when the edge rates are ``Fraction`` values."""
     m = len(members)
-    total = 0.0
+    total = 0
     for subset in combinations(range(len(edges)), m - 1):
         out_count = {v: 0 for v in members}
         parent = {}
@@ -68,7 +69,7 @@ def intree_weight_oracle(members, edges, root):
                 break
         if not ok:
             continue
-        w = 1.0
+        w = 1
         for ei in subset:
             w *= edges[ei][2]
         total += w
@@ -213,16 +214,22 @@ def test_tree_constants_match_subset_oracle():
                 assert abs(tc.K[v] - want) <= 1e-12 * max(1.0, want)
 
 
-def test_determinant_route_matches_oracle():
-    rng = np.random.default_rng(7)
-    for name in ("rev_triangle_skew", "square", "cycle_4sp", "two_pairs_4sp"):
-        net = load(name)
-        rates = np.exp(rng.uniform(-1.0, 1.0, size=len(net.reactions)))
-        for members, edges in class_edge_lists(net, rates):
-            det_K = _intree_weights_determinant(members, edges)
-            for v in members:
-                want = intree_weight_oracle(members, edges, v)
-                assert abs(det_K[v] - want) <= 1e-10 * max(1.0, want)
+def test_tree_constants_are_correctly_rounded():
+    """Each constant is the exact in-tree sum rounded once: equal, bit for
+    bit, to the rounded Fraction oracle.  The 12-vertex cycle is a class
+    larger than any corpus class."""
+    cycle = parse_network("species A\n" + "".join(
+        f"complex ({i}) -> complex ({(i + 1) % 12}) ; k=1\n" for i in range(12)))
+    rng = np.random.default_rng(20261018)
+    for net in [load(name) for name in NETWORK_TEXTS] + [cycle]:
+        for _ in range(20):
+            rates = np.exp(rng.uniform(-5.0, 5.0, size=len(net.reactions)))
+            tc = tree_constants(net, rates)
+            exact = [Fraction(float(r)) for r in rates]
+            for members, edges in class_edge_lists(net, exact):
+                for v in members:
+                    want = intree_weight_oracle(members, edges, v)
+                    assert tc.K[v] == float(want)
 
 
 def test_tree_constants_class_scaling():
@@ -246,8 +253,9 @@ def test_tree_constants_need_weak_reversibility():
 
 def test_tree_constants_overflow_is_reported():
     net = load("triangle")
-    with pytest.raises(SingularSystem):
-        tree_constants(net, [1e300, 1e300, 1e300])
+    for rate in (1e300, 1e-300):  # in-tree weights of 1e600 and 1e-600
+        with pytest.raises(SingularSystem):
+            tree_constants(net, [rate, rate, rate])
 
 
 # ---------------------------------------------------------------------------
