@@ -25,6 +25,7 @@ from .experiments import (
     run_global_attractor_experiment,
     run_persistence_experiment,
 )
+from .geometry import DimensionTooLarge
 from .jsonio import csv_text, report_json, write_text
 from .network import (
     NetworkParseError,
@@ -308,7 +309,7 @@ def cli_dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, NetworkParseError) as exc:
+    except (OSError, NetworkParseError, DimensionTooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotWeaklyReversible, NoComplexBalance, SingularSystem,

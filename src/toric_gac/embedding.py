@@ -1,5 +1,5 @@
 """Embedding of banded-rate mass-action systems into uncertainty-cone
-differential inclusions, with pointwise and sampled verification.
+differential inclusions, with pointwise and every-rate sampled verification.
 
 The certificate for a weakly reversible network consists of the hyperplane
 arrangement orthogonal to all vertex differences inside each covering
@@ -8,17 +8,35 @@ band the ordered cycle monomials dominate each other strongly enough to
 keep the field inside the cell's inclusion cone.  Shared cover edges split
 their rate equally across cycles, which the effective per-cycle band
 epsilon/m_max accounts for.
+
+Sampled verification covers every rate vector in the band at each sampled
+state.  The field f(k) = sum_e k_e x^(y_e) c_e is linear in k and the
+cell's inclusion cone C is a closed polyhedral cone, so f(k) lies in C for
+every k in [lo, hi]^E exactly when, for each generator w of the polar cone
+of C, the worst rate corner (k_e = hi where w.c_e > 0, else lo) keeps
+w.f(k) <= 0.  This is closed form; the polar generators depend only on the
+arrangement and the cell's sign vector and are computed once per cell.
+``verify_embedding_at`` checks one rate vector with NNLS and is the oracle
+a failure replays through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import RateBand, RateSchedule, mass_action_field
-from .geometry import Arrangement, ConeMembership, cone_membership, inclusion_cone
+from .geometry import (
+    Arrangement,
+    ConeMembership,
+    cell_cone,
+    cone_membership,
+    inclusion_cone,
+    polar_cone,
+)
 from .network import (
     CycleCover,
     NotWeaklyReversible,
@@ -29,14 +47,6 @@ from .network import (
 
 
 class CoincidentVertices(ValueError):
-    pass
-
-
-class TieOnProjection(ValueError):
-    pass
-
-
-class OrderingMismatch(ValueError):
     pass
 
 
@@ -95,64 +105,6 @@ def build_embedding(net: ReactionNetwork, band: RateBand) -> EmbeddingCertificat
                                 tuple(eps_i for _ in cover.cycles))
 
 
-@dataclass(frozen=True)
-class CycleOrdering:
-    """Cycle vertices sorted so the witness projections strictly decrease:
-    (order[l+1] - order[l]) . w < 0 for every l."""
-
-    order: tuple[int, ...]
-    w: tuple[float, ...]
-
-
-def cycle_ordering(cycle, ymat, w) -> CycleOrdering:
-    """Sort the cycle's vertices by decreasing w-projection of their
-    exponent vectors.  A tie means w lies on a difference hyperplane."""
-    w = np.asarray(w, dtype=float)
-    proj = {v: float(np.dot(w, ymat[v])) for v in cycle}
-    vals = sorted(proj.values(), reverse=True)
-    for a, b in zip(vals, vals[1:]):
-        if a == b:
-            raise TieOnProjection(
-                "witness vector projects two cycle vertices equally")
-    order = tuple(sorted(cycle, key=lambda v: proj[v], reverse=True))
-    return CycleOrdering(order, tuple(float(c) for c in w))
-
-
-def phi_coefficients(net: ReactionNetwork, cycle, rates, x,
-                     ordering: CycleOrdering) -> np.ndarray:
-    """Coefficients of the cycle field on the basis (v_{l+1} - v_l) of the
-    ordered vertices: edge v_m -> v_n adds its flux to the coefficients
-    between the two positions (positively when m < n).
-
-    ``cycle`` lists vertices in edge order; edge i runs cycle[i] ->
-    cycle[(i+1) % r] with rate rates[i].
-    """
-    r = len(cycle)
-    if sorted(cycle) != sorted(ordering.order):
-        raise OrderingMismatch("ordering covers a different vertex set")
-    pos = {v: i for i, v in enumerate(ordering.order)}
-    ymat = net.kinetics.Y
-    x = np.asarray(x, dtype=float)
-    phi = np.zeros(r - 1)
-    for i in range(r):
-        u = cycle[i]
-        v = cycle[(i + 1) % r]
-        flux = float(rates[i]) * float(np.prod(x ** ymat[u]))
-        m, n = pos[u], pos[v]
-        if m < n:
-            phi[m:n] += flux
-        else:
-            phi[n:m] -= flux
-    return phi
-
-
-def ordered_basis(net: ReactionNetwork, ordering: CycleOrdering) -> np.ndarray:
-    """Rows v_{l+1} - v_l of the ordering's difference basis."""
-    ymat = net.kinetics.Y
-    o = ordering.order
-    return np.array([ymat[o[l + 1]] - ymat[o[l]] for l in range(len(o) - 1)])
-
-
 def verify_embedding_at(cert: EmbeddingCertificate, net: ReactionNetwork,
                         schedule: RateSchedule, t: float, x,
                         tol: float = 1e-9) -> ConeMembership:
@@ -166,13 +118,17 @@ def verify_embedding_at(cert: EmbeddingCertificate, net: ReactionNetwork,
 
 @dataclass(frozen=True, eq=False)
 class FailureWitness:
-    """Everything needed to replay one failed trial."""
+    """Everything needed to replay one failed trial: the state, the polar
+    generator ``witness`` w that the field leaves the cone through, w's
+    worst rate corner ``rates`` and the margin w.f(rates) > 0 as
+    ``residual``."""
 
     trial: int
     x: tuple[float, ...]
     log_x: tuple[float, ...]
     rates: tuple[float, ...]
     residual: float
+    witness: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,6 +137,7 @@ class FailureWitness:
             "log_x": list(self.log_x),
             "rates": list(self.rates),
             "residual": self.residual,
+            "witness": list(self.witness),
         }
 
 
@@ -217,33 +174,68 @@ def _normalize_box(box, n: int) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
+@functools.lru_cache(maxsize=1024)
+def _polar_generators(arr: Arrangement, signs: tuple[int, ...],
+                      n: int) -> np.ndarray:
+    """Read-only polar generators of the inclusion cone of the cell with
+    sign vector ``signs``; no rows when that cone is all of space."""
+    polar = polar_cone(cell_cone(arr, signs, n), dim=n)
+    polar.flags.writeable = False
+    return polar
+
+
 def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
                             band: RateBand, trials: int, box=(-8.0, 8.0),
                             seed: int = 0, tol: float = 1e-9) -> SampleReport:
-    """Randomized verification: log states uniform in the box, edge rates
-    log-uniform in [epsilon, 1/epsilon].  Failures carry full replay data."""
+    """Every-rate verification at log states uniform in the box.
+
+    A state passes when every polar generator w of its cell's inclusion
+    cone satisfies  sum_e x^(y_e) max(lo w.c_e, hi w.c_e) <= tol * max(1,
+    hi sum_e x^(y_e) |c_e|),  the right side bounding |f(k)| over the band;
+    then the field lies in the cone for every rate vector in the band.
+    Monomials come from log x, shifted by each row's largest positive
+    log-monomial, so no power of x is formed.  A failure carries the state,
+    the maximising w (``witness``), its worst corner (``rates``) and the
+    margin w.f(rates) (``residual``); NNLS ``verify_embedding_at`` rejects
+    that corner too.  Each trial draws n + E uniforms, the state from the
+    first n, so a seed samples the states a per-trial ``rng.uniform`` loop
+    over the box and the log rates would.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("sampling requires a weakly reversible network")
     nbox = _normalize_box(box, net.n)
-    rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in nbox])
-    hi = np.array([b[1] for b in nbox])
-    log_lo, log_hi = math.log(band.lo), math.log(band.hi)
-    n_edges = len(net.reactions)
-    passes = 0
+    kin, n = net.kinetics, net.n
+    lo, hi = np.array(nbox).T
+    u = np.random.default_rng(seed).random((trials, n + len(kin.k)))
+    log_x = lo + (hi - lo) * u[:, :n]
+    d = log_x @ cert.arrangement.normal_matrix().reshape(-1, n).T
+    signs = np.where(np.abs(d) < cert.delta0, 0, np.sign(d)).astype(np.int8)
+    log_mono = log_x @ kin.Ys.T
+    shift = log_mono.max(axis=1, initial=0.0)
+    mono = np.exp(log_mono - shift[:, None])
+    bound = tol * np.maximum(np.exp(-shift), band.hi * (
+        mono @ np.linalg.norm(kin.D, axis=1)))
+    margin = np.full(trials, -np.inf)
+    witness = np.zeros((trials, n))
+    cells, cell_of = np.unique(signs, axis=0, return_inverse=True)
+    for c, cell in enumerate(cells):
+        polar = _polar_generators(cert.arrangement, tuple(cell.tolist()), n)
+        if not len(polar):
+            continue  # the cone is all of space
+        rows = np.flatnonzero(cell_of == c)
+        a = polar @ kin.D.T
+        vals = mono[rows] @ np.where(a > 0.0, band.hi * a, band.lo * a).T
+        best = vals.argmax(axis=1)
+        margin[rows] = vals[np.arange(len(rows)), best]
+        witness[rows] = polar[best]
     failures = []
-    for trial in range(trials):
-        log_x = rng.uniform(lo, hi)
-        rates = np.exp(rng.uniform(log_lo, log_hi, size=n_edges))
-        x = np.exp(log_x)
-        schedule = RateSchedule.constant(rates, band)
-        result = verify_embedding_at(cert, net, schedule, 0.0, x, tol)
-        if result.contained:
-            passes += 1
-        else:
-            failures.append(FailureWitness(
-                trial, tuple(x), tuple(log_x), tuple(rates), result.residual))
-    return SampleReport(trials, passes, tuple(failures), seed,
+    for t in np.flatnonzero(margin > bound):
+        w = witness[t]
+        rates = np.where(kin.D @ w > 0.0, band.hi, band.lo)
+        failures.append(FailureWitness(
+            int(t), tuple(np.exp(log_x[t])), tuple(log_x[t]), tuple(rates),
+            float(margin[t] * np.exp(shift[t])), tuple(w)))
+    return SampleReport(trials, trials - len(failures), tuple(failures), seed,
                         band.epsilon, nbox)

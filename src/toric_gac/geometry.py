@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 _UNIT_TOL = 1e-12
 _PRUNE_TOL = 1e-10
@@ -110,6 +109,8 @@ def _as_gen_array(gens, dim: int | None = None) -> np.ndarray:
 def cone_membership(gens, v, tol: float = 1e-9) -> ConeMembership:
     """Least-squares test of v in cone(gens) with relative tolerance
     ``tol * max(1, |v|)``.  Certificates are always produced."""
+    from scipy.optimize import nnls  # the NNLS oracle stays off the import path
+
     v = np.asarray(v, dtype=float)
     g = _as_gen_array(gens, v.size)
     bound = tol * max(1.0, float(np.linalg.norm(v)))
@@ -131,6 +132,8 @@ def cone_contains(gens, v, tol: float = 1e-9) -> bool:
 
 def point_to_cone_distance(gens, x) -> float:
     """Euclidean distance from x to cone(gens); |x| for the zero cone."""
+    from scipy.optimize import nnls
+
     x = np.asarray(x, dtype=float)
     g = _as_gen_array(gens, x.size)
     if g.shape[0] == 0:
@@ -220,12 +223,10 @@ def locate_cell(arr: Arrangement, X, delta: float) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def inclusion_cone(arr: Arrangement, delta: float, X) -> np.ndarray:
-    """Generators of the inclusion cone at X: per hyperplane the normal
-    oriented from X's side toward the hyperplane; both orientations inside
-    a band."""
-    X = np.asarray(X, dtype=float)
-    signs = locate_cell(arr, X, delta)
+def cell_cone(arr: Arrangement, signs, n: int) -> np.ndarray:
+    """Inclusion-cone generators of the cell with sign vector ``signs``: per
+    hyperplane the normal oriented from the cell's side toward it; both
+    orientations on a band (sign 0)."""
     gens: list[np.ndarray] = []
     for h, s in zip(arr.hyperplanes, signs):
         v = h.vector
@@ -234,8 +235,13 @@ def inclusion_cone(arr: Arrangement, delta: float, X) -> np.ndarray:
             gens.append(-v)
         else:
             gens.append(-s * v)
-    n = X.size
     return np.array(gens).reshape(len(gens), n)
+
+
+def inclusion_cone(arr: Arrangement, delta: float, X) -> np.ndarray:
+    """Generators of the inclusion cone at X: ``cell_cone`` of X's cell."""
+    X = np.asarray(X, dtype=float)
+    return cell_cone(arr, locate_cell(arr, X, delta), X.size)
 
 
 def fan_inclusion_cone(fan, delta: float, X) -> np.ndarray:

@@ -29,6 +29,7 @@ TEXTS = {
     **NETWORK_TEXTS,
     "unit_pair": "species A B\nA <-> B ; kf=1 kr=1\n",
     "not_weakly_reversible": "species A B\nA -> B ; k=1\n",
+    "pair_7sp": "species A B C D E F G\nA <-> B ; kf=1 kr=1\n",
 }
 
 
@@ -174,6 +175,24 @@ def test_embed_verify_rejects_non_weakly_reversible(net_path, capsys):
     code, _, err = run(capsys, "embed-verify",
                        net_path("not_weakly_reversible"))
     assert code == 1 and "NotWeaklyReversible" in err
+
+
+def test_embed_verify_above_six_species_is_input_error(net_path, capsys):
+    code, out, err = run(capsys, "embed-verify", net_path("pair_7sp"),
+                         "--trials", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "dimension 6" in err
+
+
+def test_embed_verify_does_not_import_scipy(net_path):
+    script = ("import sys; from toric_gac.cli import cli_dispatch; "
+              f"code = cli_dispatch(['embed-verify', {net_path('triangle')!r}]); "
+              "assert 'scipy' not in sys.modules; sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- curve2d and certify-surface ------------------------------------------

@@ -1,11 +1,13 @@
-"""Embedding certificates: band widths, orderings, regrouped coefficients,
-pointwise and sampled verification, and negative controls.
+"""Embedding certificates: band widths, pointwise and every-rate sampled
+verification, negative controls, and the paper's dominance chain checked
+with a test-local ordering and regrouping oracle.
 
 Key frozen values: delta_for_edge(0.1, (1,0), (0,1)) = 2 ln 10 / sqrt(2);
 the triangle arrangement has normals parallel to (1,-1), (1,0), (0,1); the
 triangle cycle at x = (4,2) with unit rates regroups to Phi = (3, 1).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,31 +17,56 @@ from toric_gac.corpus import EMBEDDING_CORPUS, load
 from toric_gac.dynamics import RateBand, RateSchedule, mass_action_field
 from toric_gac.embedding import (
     CoincidentVertices,
-    CycleOrdering,
     EmbeddingCertificate,
-    OrderingMismatch,
-    TieOnProjection,
     build_embedding,
-    cycle_ordering,
     delta_for_edge,
-    ordered_basis,
-    phi_coefficients,
     sample_verify_embedding,
     verify_embedding_at,
 )
+from toric_gac.geometry import cone_membership, inclusion_cone
 from toric_gac.network import NotWeaklyReversible, cycle_cover, parse_network
 
 
-def edge_rate_map(net):
-    return {(r.source, r.target): r.rate for r in net.reactions}
+def ordered_by_projection(cycle, ymat, w):
+    """The cycle's vertices by strictly decreasing w-projection of their
+    exponent vectors."""
+    proj = {v: float(np.dot(w, ymat[v])) for v in cycle}
+    order = sorted(cycle, key=lambda v: proj[v], reverse=True)
+    assert all(proj[a] > proj[b] for a, b in zip(order, order[1:]))
+    return order
 
 
-def cycle_split_rates(net, cover, cyc):
-    """Per-edge rates of one covering cycle after equal splitting."""
-    rates = edge_rate_map(net)
-    r = len(cyc)
-    return [rates[(cyc[i], cyc[(i + 1) % r])] /
-            cover.multiplicity[(cyc[i], cyc[(i + 1) % r])] for i in range(r)]
+def regrouped(ymat, cycle, rates, x, order):
+    """Coefficients Phi of the cycle field on the basis v_{l+1} - v_l of
+    the ordered vertices: edge v_m -> v_n adds its flux to the coefficients
+    between positions m and n, positively when m < n.  Edge i runs
+    cycle[i] -> cycle[i + 1] with rate rates[i]."""
+    pos = {v: i for i, v in enumerate(order)}
+    phi = np.zeros(len(cycle) - 1)
+    for i, u in enumerate(cycle):
+        flux = float(rates[i]) * float(np.prod(x ** ymat[u]))
+        m, n = pos[u], pos[cycle[(i + 1) % len(cycle)]]
+        if m < n:
+            phi[m:n] += flux
+        else:
+            phi[n:m] -= flux
+    return phi
+
+
+def difference_basis(ymat, order):
+    return np.array([ymat[b] - ymat[a] for a, b in zip(order, order[1:])])
+
+
+def per_trial_states(n, trials, seed, n_edges, box=(-8.0, 8.0)):
+    """The log states of a per-trial loop: one ``rng.uniform`` draw over
+    the box, then one uniform per edge for its log rate."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.full(n, box[0]), np.full(n, box[1])
+    states = []
+    for _ in range(trials):
+        states.append(rng.uniform(lo, hi))
+        rng.uniform(-1.0, 1.0, size=n_edges)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -118,81 +145,58 @@ def test_certificate_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# ordering and regrouped coefficients
-
-def test_ordering_example():
-    net = load("triangle")
-    ordering = cycle_ordering((0, 1, 2), net.kinetics.Y, (-1.0, -2.0))
-    # projections: (1,0) -> -1, (0,1) -> -2, (0,0) -> 0
-    assert ordering.order == (2, 0, 1)
-
-
-def test_ordering_two_vertices():
-    net = load("rev_pair")
-    ordering = cycle_ordering((0, 1), net.kinetics.Y, (1.0, -1.0))
-    assert ordering.order == (0, 1)
-    flipped = cycle_ordering((0, 1), net.kinetics.Y, (-1.0, 1.0))
-    assert flipped.order == (1, 0)
-
-
-def test_ordering_tie_raises():
-    net = load("rev_pair")
-    with pytest.raises(TieOnProjection):
-        cycle_ordering((0, 1), net.kinetics.Y, (1.0, 1.0))
-
+# the test-local regrouping oracle against the package's field
 
 def test_phi_two_cycle():
     net = load("rev_pair")
-    ordering = cycle_ordering((0, 1), net.kinetics.Y, (1.0, -1.0))
-    x = np.array([5.0, 2.0])
-    phi = phi_coefficients(net, (0, 1), [2.0, 3.0], x, ordering)
+    order = ordered_by_projection((0, 1), net.kinetics.Y, (1.0, -1.0))
+    assert order == [0, 1]
+    phi = regrouped(net.kinetics.Y, (0, 1), [2.0, 3.0], np.array([5.0, 2.0]),
+                    order)
     assert phi.shape == (1,)
     assert abs(phi[0] - (2.0 * 5.0 - 3.0 * 2.0)) <= 1e-12
 
 
 def test_phi_triangle_frozen_value():
     net = load("triangle")
+    ymat = net.kinetics.Y
     x = np.array([4.0, 2.0])
-    ordering = cycle_ordering((0, 1, 2), net.kinetics.Y, np.log(x))
-    assert ordering.order == (0, 1, 2)
-    phi = phi_coefficients(net, (0, 1, 2), [1.0, 1.0, 1.0], x, ordering)
+    order = ordered_by_projection((0, 1, 2), ymat, np.log(x))
+    assert order == [0, 1, 2]
+    phi = regrouped(ymat, (0, 1, 2), [1.0, 1.0, 1.0], x, order)
     assert np.allclose(phi, [3.0, 1.0], atol=1e-12)
-    assert np.all(phi > 0.0)
-    # reconstruction: sum of phi_l (v_{l+1} - v_l) is the cycle field
-    recon = phi @ ordered_basis(net, ordering)
+    recon = phi @ difference_basis(ymat, order)
+    assert np.allclose(recon, mass_action_field(net, [1.0, 1.0, 1.0], x),
+                       atol=1e-12)
     assert np.allclose(recon, [-3.0, 2.0], atol=1e-12)
 
 
 def test_phi_reconstruction_random():
+    # on single-cycle networks the regrouped coefficients rebuild the field
     rng = np.random.default_rng(17)
+    checked = 0
     for name in EMBEDDING_CORPUS:
         net = load(name)
         cover = cycle_cover(net)
-        for cyc in cover.cycles:
-            rates = list(np.exp(rng.uniform(-1.0, 1.0, size=len(cyc))))
-            for _ in range(5):
-                x = np.exp(rng.uniform(-2.0, 2.0, size=net.n))
-                w = rng.normal(size=net.n)
-                try:
-                    ordering = cycle_ordering(cyc, net.kinetics.Y, w)
-                except TieOnProjection:
-                    continue
-                phi = phi_coefficients(net, cyc, rates, x, ordering)
-                recon = phi @ ordered_basis(net, ordering)
-                want = np.zeros(net.n)
-                ymat = net.kinetics.Y
-                for i in range(len(cyc)):
-                    u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-                    want += rates[i] * float(np.prod(x ** ymat[u])) * (ymat[v] - ymat[u])
-                scale = max(1.0, float(np.linalg.norm(want)))
-                assert np.linalg.norm(recon - want) <= 1e-12 * scale
-
-
-def test_phi_ordering_mismatch():
-    net = load("triangle")
-    ordering = CycleOrdering((0, 1), (1.0, 0.0))
-    with pytest.raises(OrderingMismatch):
-        phi_coefficients(net, (0, 1, 2), [1.0, 1.0, 1.0], [1.0, 1.0], ordering)
+        if len(cover.cycles) != 1 or len(cover.cycles[0]) != len(net.reactions):
+            continue
+        cyc = cover.cycles[0]
+        edge = {(r.source, r.target): i for i, r in enumerate(net.reactions)}
+        for _ in range(5):
+            rates = np.exp(rng.uniform(-1.0, 1.0, size=len(cyc)))
+            k = np.empty(len(cyc))
+            for i, u in enumerate(cyc):
+                k[edge[(u, cyc[(i + 1) % len(cyc)])]] = rates[i]
+            x = np.exp(rng.uniform(-2.0, 2.0, size=net.n))
+            order = ordered_by_projection(cyc, net.kinetics.Y,
+                                          rng.normal(size=net.n))
+            phi = regrouped(net.kinetics.Y, cyc, rates, x, order)
+            recon = phi @ difference_basis(net.kinetics.Y, order)
+            want = mass_action_field(net, k, x)
+            assert np.linalg.norm(recon - want) <= 1e-12 * max(
+                1.0, float(np.linalg.norm(want)))
+            checked += 1
+    assert checked >= 15
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +250,13 @@ def test_dominance_chain_outside_bands():
                 rates = np.exp(rng.uniform(math.log(eps_i),
                                            math.log(1.0 / eps_i),
                                            size=len(cyc)))
-                ordering = cycle_ordering(cyc, ymat, log_x)
-                pos = {v: i for i, v in enumerate(ordering.order)}
+                order = ordered_by_projection(cyc, ymat, log_x)
+                pos = {v: i for i, v in enumerate(order)}
                 fluxes = np.empty(len(cyc))
-                for i in range(len(cyc)):
-                    u = cyc[i]
+                for i, u in enumerate(cyc):
                     fluxes[pos[u]] = rates[i] * float(np.prod(x ** ymat[u]))
                 assert np.all(np.diff(fluxes) < 0.0), (name, log_x)
-                phi = phi_coefficients(net, cyc, rates, x, ordering)
+                phi = regrouped(ymat, cyc, rates, x, order)
                 assert np.all(phi > 0.0), (name, log_x)
                 checked += 1
     assert checked >= 500
@@ -327,6 +330,34 @@ def test_sample_smoke_across_corpus():
         assert report.all_passed, (name, report.failures[:1])
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_every_rate_pass_holds_at_all_corners(eps):
+    # the field's image of the rate box is the convex hull of its corner
+    # images, so a state that passes for every rate must be NNLS-contained
+    # at each of the 2^E corners
+    band = RateBand(eps)
+    trials = 200
+    for name in EMBEDDING_CORPUS:
+        net = load(name)
+        n_edges = len(net.reactions)
+        assert n_edges <= 6
+        cert = build_embedding(net, band)
+        report = sample_verify_embedding(cert, net, band, trials, seed=31)
+        failed = {f.trial for f in report.failures}
+        corners = np.array(list(itertools.product((band.lo, band.hi),
+                                                  repeat=n_edges)))
+        states = per_trial_states(net.n, trials, 31, n_edges)
+        for t, log_x in enumerate(states):
+            if t in failed:
+                continue
+            x = np.exp(log_x)
+            gens = inclusion_cone(cert.arrangement, cert.delta0, log_x)
+            fields = mass_action_field(net, corners,
+                                       np.tile(x, (len(corners), 1)))
+            for k, v in zip(corners, fields):
+                assert cone_membership(gens, v).contained, (name, t, k)
+
+
 # ---------------------------------------------------------------------------
 # negative control
 
@@ -354,3 +385,32 @@ def test_halved_delta0_is_detected():
     # the honest certificate still accepts the same probe
     res_ok = verify_embedding_at(cert, net, sched, 0.0, x)
     assert res_ok.contained
+
+
+def test_halved_delta0_every_rate_failures_replay():
+    # every-rate check on the halved triangle certificate: each failure's
+    # worst corner replays as not contained through the NNLS oracle, its
+    # witness separates that corner's field, and its state is the one a
+    # per-trial uniform loop draws at that index
+    net = load("triangle")
+    band = RateBand(0.1)
+    cert = build_embedding(net, band)
+    bad = EmbeddingCertificate(cert.arrangement, cert.delta0 / 2.0,
+                               cert.cover, cert.epsilon_split)
+    report = sample_verify_embedding(bad, net, band, 300, seed=2024)
+    assert len(report.failures) == 100
+    assert report.passes == 200
+    states = per_trial_states(net.n, 300, 2024, len(net.reactions))
+    for f in report.failures:
+        assert set(f.rates) <= {band.lo, band.hi}
+        sched = RateSchedule.constant(np.array(f.rates), band)
+        replay = verify_embedding_at(bad, net, sched, 0.0, np.array(f.x))
+        assert not replay.contained
+        v = mass_action_field(net, np.array(f.rates), np.array(f.x))
+        margin = float(np.dot(f.witness, v))
+        assert margin > 0.0
+        assert abs(margin - f.residual) <= 1e-9 * max(1.0, abs(margin))
+        assert np.array_equal(f.log_x, states[f.trial])
+        assert np.array_equal(f.x, np.exp(states[f.trial]))
+        assert set(f.to_json_dict()) == {"trial", "x", "log_x", "rates",
+                                         "residual", "witness"}
