@@ -5,7 +5,9 @@ x1(t) = 1.5 + 0.5 exp(-2 t) from (2, 1); every accuracy assertion below is
 frozen against it or against a hand-computed field value.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -413,6 +415,45 @@ def test_batched_rows_follow_the_scalar_controller():
             times, states = scalar_rkf45(net, sched, x0, 20.0, 1e-6, 1e-9)
             assert np.array_equal(traj.times, times), name
             assert np.array_equal(traj.states, states), name
+
+
+# sha256 of the concatenated times, states and conserved residuals of ten
+# drifting rows per network, recorded before the integrator's inner loop was
+# rewritten.  The batch-vs-B=1 tests above run both sides through the same
+# code, so only fixed digests catch a change of the arithmetic itself.  They
+# pin float64 results of numpy 2.4 on x86-64 with AVX-512 (numpy's exp and
+# power kernels differ across instruction sets); on another platform,
+# re-record them from the commit before an arithmetic change.
+GOLDEN_DIGESTS = {
+    "rev_triangle_skew": (
+        "50d6a4038329ca2db8910543af414db32e7525d07a3b5efc5dd0200d477d4e1d",
+        "b8dc03f4b91008dedc10fad287fc9daba1222a1c80d8b673d8305d89f5155d25",
+        "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8"),
+    "two_triangles_vertex": (
+        "1f4ecd3787920fa432c451e01197417bba38bc6d52bfb6b56d0f324d1f00e5b6",
+        "a3dd6343de284f069ed880179b3fa7d785c6d53a21086b03b1a7ab27695bd9b0",
+        "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8"),
+    "powerlaw_pair": (
+        "316fd1f2f90d076a728d6ce4a6b5e671af02f14d490a8984e8f320cb43ee0a8e",
+        "04c1771edefe34e5c451bfa1d7e145a834c7ffccadd2f8fe3707bc6d380ed2fd",
+        "62908bb8ff20e7e87ccd53157d15b1ecb7b9bc0143bb5e87f60fb2d3f21ad676"),
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(GOLDEN_DIGESTS, start=40))
+def test_drifting_batches_match_golden_digests(seed, name):
+    net = load(name)
+    rng = np.random.default_rng(seed)
+    starts = np.exp(rng.uniform(-2.0, 3.0, size=(10, 2)))
+    schedules = [RateSchedule.random(len(net.reactions), RateBand(0.1),
+                                     50.0 / 8, 50.0, rng) for _ in range(10)]
+    digests = [hashlib.sha256() for _ in range(3)]
+    for traj in integrate(net, schedules, starts, 50.0,
+                          IntegratorOptions(rtol=1e-6, atol=1e-9)):
+        digests[0].update(traj.times.tobytes())
+        digests[1].update(traj.states.tobytes())
+        digests[2].update(struct.pack("<d", traj.conserved_residual))
+    assert tuple(d.hexdigest() for d in digests) == GOLDEN_DIGESTS[name]
 
 
 def test_failing_rows_leave_the_other_rows_unchanged():
