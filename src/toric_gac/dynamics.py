@@ -38,10 +38,15 @@ fails stops alone and the other rows run on.  The step-size factor
 vectorised power differs from the scalar one in the last bit for some
 arguments (about 5% of them with AVX-512 kernels), and a factor that
 depended on the batch layout would make a row differ from its B = 1 run.
+Validation happens once: ``integrate`` checks the horizon, starts and
+schedules, each piece its rates (out of band fails the row, non-positive
+raises ``ValueError``); the inner loop checks nothing, as accepted states
+are positive and no stage argument outside the orthant reaches the field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,9 +141,7 @@ class RateSchedule:
         return self.values.shape[1]
 
     def rates_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = max(idx, 0)
-        k = self.values[idx]
+        k = self.values[max(int(np.searchsorted(self.times, t, "right")) - 1, 0)]
         if self.band is not None:
             if np.any(k < self.band.lo) or np.any(k > self.band.hi):
                 raise RateOutOfBand(
@@ -146,8 +149,7 @@ class RateSchedule:
         return k
 
     def breakpoints_within(self, t0: float, t1: float) -> np.ndarray:
-        inside = self.times[(self.times > t0) & (self.times < t1)]
-        return inside
+        return self.times[(self.times > t0) & (self.times < t1)]
 
 
 def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
@@ -178,13 +180,23 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
         raise DimensionMismatch(f"state has shape {x.shape}, species {n}")
     if (x <= 0.0).any():
         raise ValueError("state must be strictly positive")
-    kin = net.kinetics
     X = x.reshape(-1, n)
     k = _edge_rates(net, rates, len(X) if x.ndim == 2 else None)
+    out = _field(net.kinetics, k, X)
+    return out if x.ndim == 2 else out[0]
+
+
+def _field(kin, k, X) -> np.ndarray:
+    """The field at each row of the (B, n) batch ``X``, unchecked."""
     terms = kin.flows(k, X)[:, :, None] * kin.D
     out = np.zeros(X.shape)
-    np.add.at(out, np.arange(len(X)).repeat(len(kin.k)), terms.reshape(-1, n))
-    return out if x.ndim == 2 else out[0]
+    np.add.at(out, _row_index(*terms.shape[:2]), terms.reshape(-1, X.shape[1]))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _row_index(rows: int, edges: int) -> np.ndarray:
+    return np.arange(rows).repeat(edges)  # the batch row of each edge term
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +232,29 @@ _W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _W5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-_STAGES = ((), _B2, _B3, _B4, _B5, _B6)
+# _USES[j]: stage j's field in the seven sums (stage arguments, solutions)
+_SUMS = (_B2, _B3, _B4, _B5, _B6, _W4, _W5)
+_USES = [np.array([c[j] for c in _SUMS[j:]])[:, None, None] for j in range(6)]
 
 
-def _rkf_step(net, rates, x, h):
-    """One Fehlberg step of every row of ``x`` with its own ``rates`` row
-    and step ``h`` (a column).  A row whose stage argument leaves the open
-    positive orthant drops out before its field is evaluated.  Returns the
-    indices of the rows that stayed positive and their 4th- and 5th-order
-    solutions."""
-    kept = np.arange(len(x))
-    ks = []
-    for coef in _STAGES:
-        arg = x
-        if coef:
-            acc = coef[0] * ks[0]
-            for c, k in zip(coef[1:], ks[1:]):
-                acc = acc + c * k
-            arg = x + h * acc
-        if (arg <= 0.0).any():
-            ok = ~(arg <= 0.0).any(axis=1)
-            kept, x, h, rates, arg = kept[ok], x[ok], h[ok], rates[ok], arg[ok]
-            ks = [k[ok] for k in ks]
-            if not kept.size:
-                return kept, x, x
-        ks.append(mass_action_field(net, rates, arg))
-    x4 = x + h * sum(w * k for w, k in zip(_W4, ks))
-    x5 = x + h * sum(w * k for w, k in zip(_W5, ks))
-    return kept, x4, x5
+def _rkf_step(kin, rates, x, h):
+    """4th- and 5th-order Fehlberg solutions of each positive row of ``x``
+    with its ``rates`` row and step ``h`` (a column); both NaN for a row
+    whose stage argument leaves the orthant (later stages then take ``x``).
+    Each sum adds its terms in tableau order, as a term-by-term sum would."""
+    acc = np.zeros((7, *x.shape))
+    arg, left = x, np.zeros(len(x), dtype=bool)
+    for j, uses in enumerate(_USES):
+        acc[j:] += uses * _field(kin, rates, arg)
+        if j < 5:
+            arg = x + h * acc[j]
+            out = arg <= 0.0
+            if np.count_nonzero(out):
+                left |= out.any(axis=1)
+                arg = np.where(left[:, None], x, arg)
+    x4, x5 = x + h * acc[5], x + h * acc[6]
+    x4[left] = x5[left] = np.nan
+    return x4, x5
 
 
 def _row_schedules(net: ReactionNetwork, rates_or_schedule,
@@ -308,99 +315,73 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
 
 def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     """Each row's Trajectory, or the exception that stopped that row."""
-    B = len(starts)
+    kin, B = net.kinetics, len(starts)
     if B == 0:
         return []
     failed: list[Exception | None] = [None] * B
-    live = np.ones(B, dtype=bool)
-    x, t = starts.copy(), np.zeros(B)
-    steps = np.zeros(B, dtype=np.int64)
-    times = [[0.0] for _ in range(B)]
-    states = [[x0] for x0 in starts]
-
-    def fail(row, exc):
-        failed[row] = exc
-        live[row] = False
-
-    rates = np.empty((B, len(net.reactions)))
-    rounds = 0  # loop passes so far; no row has taken more steps
+    x, steps = starts.copy(), np.zeros(B, dtype=np.int64)
+    log = [(np.arange(B), np.zeros(B), starts)]  # accepted (rows, t, x) blocks
+    rates = np.empty((B, len(kin.k)))
     cuts = [0.0, *schedules[0].breakpoints_within(0.0, t_end), t_end]
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        for r in np.flatnonzero(live):
+        for r in range(B):
             try:
-                rates[r] = schedules[r].rates_at(t0)
+                if failed[r] is None:
+                    rates[r] = schedules[r].rates_at(t0)
             except RateOutOfBand as exc:
-                fail(r, exc)
-        t[:] = t0
-        h = np.full(B, (t1 - t0) / 64.0)
+                failed[r] = exc
         edge = 1e-12 * max(1.0, abs(t1))
-        while True:
-            act = np.flatnonzero(live & (t1 - t > edge))
-            if not act.size:
-                break
-            if rounds > _MAX_STEPS:
-                for r in act[steps[act] > _MAX_STEPS]:
-                    fail(r, StepSizeUnderflow("step budget exhausted"))
-                act = act[live[act]]
-            rounds += 1
-            steps[act] += 1
-            ta, ha = t[act], h[act]
-            rest = t1 - ta
-            last = ha >= rest
-            h_step = np.where(last, rest, ha)
-            small = h_step < _H_MIN
-            if small.any():
-                for i in np.flatnonzero(small):
-                    fail(act[i], StepSizeUnderflow(
-                        f"step {float(h_step[i])} below minimum "
-                        f"at t={float(ta[i])}"))
-                keep = ~small
-                act, ta, last, h_step = (act[keep], ta[keep], last[keep],
-                                         h_step[keep])
-                if not act.size:
-                    continue
-            xa = x[act]
-            kept, x4, x5 = _rkf_step(net, rates[act], xa, h_step[:, None])
-            good = (x4 > 0.0).all(axis=1)
-            idx = kept[good]  # rows whose step stayed in the open orthant
-            if idx.size < act.size:
-                left = np.ones(act.size, dtype=bool)
-                left[idx] = False
-                h[act[left]] = 0.5 * h_step[left]
-                x4, x5 = x4[good], x5[good]
-            if idx.size:
-                scale = opts.atol + opts.rtol * np.maximum(
-                    np.abs(xa[idx]), np.abs(x4))
-                errs = (np.abs(x5 - x4) / scale).max(axis=1).tolist()
-                # Python floats: numpy's vector power rounds differently
-                ok = np.array([not e > 1.0 for e in errs])
-                factor = np.array([
-                    max(0.2, 0.9 * e ** -0.2) if e > 1.0
-                    else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
-                    for e in errs])
-                h[act[idx]] = h_step[idx] * factor
-                idx, x4 = idx[ok], x4[ok]
-            rows = act[idx]
-            t[rows] = np.where(last[idx], t1, ta[idx] + h_step[idx])
-            x[rows] = x4
-            for r, tr, xr in zip(rows.tolist(), t[rows].tolist(), x4):
-                times[r].append(tr)
-                states[r].append(xr)
+        # rows in this piece (ids, states, times, steps, rates, step counts)
+        w = np.flatnonzero([f is None and t1 - t0 > edge for f in failed])
+        if (rates[w] <= 0.0).any():
+            raise ValueError("rates must be strictly positive")
+        xw, tw, hw = x[w], np.full(w.size, t0), np.full(w.size, (t1 - t0) / 64)
+        kw, nw = rates[w], steps[w]
+        while w.size:
+            rest = t1 - tw
+            last = hw >= rest
+            hs = np.where(last, rest, hw)
+            over = nw > _MAX_STEPS
+            stop = over | (hs < _H_MIN)
+            if np.count_nonzero(stop):
+                for i in np.flatnonzero(stop):
+                    failed[w[i]] = StepSizeUnderflow(
+                        "step budget exhausted" if over[i] else
+                        f"step {float(hs[i])} below minimum at t={float(tw[i])}")
+                w, xw, tw, hw, kw, nw, last, hs = (a[~stop] for a in (
+                    w, xw, tw, hw, kw, nw, last, hs))
+            nw += 1
+            x4, x5 = _rkf_step(kin, kw, xw, hs[:, None])
+            good = (x4 > 0.0).all(axis=1)  # the step stayed in the orthant
+            scale = opts.atol + opts.rtol * np.maximum(np.abs(xw), np.abs(x4))
+            err = (np.abs(x5 - x4) / scale).max(axis=1)
+            # Python floats: numpy's vector power rounds differently
+            hw = hs * np.array([
+                0.5 if not g else max(0.2, 0.9 * e ** -0.2) if e > 1.0
+                else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
+                for e, g in zip(err.tolist(), good.tolist())])
+            ok = good & ~(err > 1.0)
+            tw = np.where(ok, np.where(last, t1, tw + hs), tw)
+            xw = np.where(ok[:, None], x4, xw)
+            log.append((w[ok], tw[ok], xw[ok]))
+            done = ~(t1 - tw > edge)
+            if np.count_nonzero(done):
+                x[w[done]], steps[w[done]] = xw[done], nw[done]
+                w, xw, tw, hw, kw, nw = (a[~done] for a in (
+                    w, xw, tw, hw, kw, nw))
 
+    rows, ts, xs = (np.concatenate(c) for c in zip(*log))
+    order = np.argsort(rows, kind="stable")
+    cut = np.cumsum(np.bincount(rows, minlength=B))[:-1]
+    times, states = np.split(ts[order], cut), np.split(xs[order], cut)
     basis, s = stoichiometric_subspace(net)
     out: list = []
-    for r in range(B):
-        if failed[r] is not None:
-            out.append(failed[r])
-            continue
-        states_r = np.array(states[r])
-        if s == net.n:
-            resid = 0.0  # orthogonal complement is trivial
-        else:
-            drift = states_r - starts[r][None, :]
-            perp = drift - (drift @ basis) @ basis.T
-            resid = float(np.max(np.linalg.norm(perp, axis=1)))
-        out.append(Trajectory(np.array(times[r]), states_r, resid))
+    for r, exc in enumerate(failed):
+        drift = states[r] - starts[r]
+        perp = drift - (drift @ basis) @ basis.T
+        # a trivial orthogonal complement keeps an exact zero
+        resid = 0.0 if s == net.n else float(np.linalg.norm(perp, axis=1).max())
+        out.append(exc or Trajectory(times[r], states[r], resid))
     return out
 
 

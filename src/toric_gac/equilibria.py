@@ -157,7 +157,11 @@ def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
     each class, correctly rounded to float."""
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("tree constants need a weakly reversible network")
-    k = _edge_rates(net, rates)
+    return _tree_constants(net, _edge_rates(net, rates))
+
+
+def _tree_constants(net: ReactionNetwork, k: np.ndarray) -> TreeConstants:
+    """``tree_constants`` at checked rates on a weakly reversible network."""
     classes = linkage_classes(net)
     K = [0.0] * net.m
     for members in classes:
@@ -192,7 +196,7 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("balance solve needs a weakly reversible network")
     k = _edge_rates(net, rates)
-    tc = tree_constants(net, k)
+    tc = _tree_constants(net, k)
     logK = np.log(np.array(tc.K))
     if not np.all(np.isfinite(logK)):
         raise SingularSystem("tree constants overflow or underflow the log scale")

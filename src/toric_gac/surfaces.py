@@ -411,40 +411,45 @@ def curve_to_certificate(curve: PolygonalCurve2D,
 # ---------------------------------------------------------------------------
 # trajectory crossing
 
-def _point_in_origin_region(q, verts) -> bool:
-    """Even-odd test against the closed polygon curve + axis segments."""
-    first, last = verts[0], verts[-1]
-    poly = list(verts) + [(0.0, last[1]), (0.0, 0.0), (first[0], 0.0)]
-    x, y = q
-    inside = False
-    m = len(poly)
-    for i in range(m):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % m]
-        if (y1 > y) != (y2 > y):
-            t = (y - y1) / (y2 - y1)
-            if x < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
-
-
-def _distance_to_chain(q, verts) -> float:
-    best = math.inf
-    qx, qy = q
+def signed_distance_to_curve(q, curve: PolygonalCurve2D) -> float:
+    """Distance to the curve, negative on the origin side (even-odd test
+    against the closed polygon of the curve and the axis segments)."""
+    verts = curve.vertices
+    (qx, qy), best, inside = q, math.inf, False
     for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
         dx, dy = x2 - x1, y2 - y1
         L2 = dx * dx + dy * dy
         t = 0.0 if L2 == 0.0 else max(0.0, min(1.0, ((qx - x1) * dx + (qy - y1) * dy) / L2))
-        px, py = x1 + t * dx, y1 + t * dy
-        best = min(best, math.hypot(qx - px, qy - py))
-    return best
+        best = min(best, math.hypot(qx - (x1 + t * dx), qy - (y1 + t * dy)))
+    poly = [*verts, (0.0, verts[-1][1]), (0.0, 0.0), (verts[0][0], 0.0)]
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        if (y1 > qy) != (y2 > qy) and qx < x1 + (qy - y1) / (y2 - y1) * (x2 - x1):
+            inside = not inside
+    return -best if inside else best
 
 
-def signed_distance_to_curve(q, curve: PolygonalCurve2D) -> float:
-    """Distance to the curve, negative on the origin side."""
+def _min_signed_distance(states: np.ndarray, curve: PolygonalCurve2D) -> float:
+    """``min(signed_distance_to_curve(q, curve) for q in states)``, bit for
+    bit.  One array pass repeats the scalar arithmetic but for ``np.hypot``,
+    which is within 1e-9 of ``math.hypot``; the scalar function decides
+    among the states within 1e-9 of the array minimum."""
     verts = curve.vertices
-    d = _distance_to_chain(q, verts)
-    return -d if _point_in_origin_region(q, verts) else d
+    qx, qy = states[:, :1], states[:, 1:]
+    poly = np.array([*verts, (0.0, verts[-1][1]), (0.0, 0.0), (verts[0][0], 0.0)])
+    (x1, y1), (x2, y2) = poly.T, np.roll(poly, -1, axis=0).T
+    (ax, ay), (dx, dy) = np.array(verts[:-1]).T, np.diff(verts, axis=0).T
+    L2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flips = ((y1 > qy) != (y2 > qy)) & (
+            qx < x1 + (qy - y1) / (y2 - y1) * (x2 - x1))
+        u = ((qx - ax) * dx + (qy - ay) * dy) / L2
+    u = np.where(u < 1.0, u, 1.0)  # max(0, min(1, u)) as Python orders it
+    u = np.where((u > 0.0) & (L2 != 0.0), u, 0.0)
+    d = np.hypot(qx - (ax + u * dx), qy - (ay + u * dy)).min(axis=1)
+    signed = np.where(np.logical_xor.reduce(flips, axis=1), -d, d)
+    m = signed.min()
+    near = states[signed <= m + (1e-9 * abs(m) + 1e-300)]
+    return min(signed_distance_to_curve(tuple(q), curve) for q in near)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +487,7 @@ def trajectory_crossing_test(curve: PolygonalCurve2D, net: ReactionNetwork,
     for traj in integrate(net, schedules, np.array(starts), horizon, opts):
         if isinstance(traj, Exception):
             raise traj
-        d = min(signed_distance_to_curve(tuple(state), curve)
-                for state in traj.states)
-        minima.append(float(d))
+        minima.append(_min_signed_distance(traj.states, curve))
     overall = min(minima)
     return CrossingReport(overall, tuple(minima), overall <= 0.0, seed)
 
@@ -521,10 +524,8 @@ def curve_to_svg(curve: PolygonalCurve2D, arr: Arrangement | None = None) -> str
             c = c - (c @ np.array(n)) * np.array(n)
             r = float(np.linalg.norm(hi - lo))
             a, b = c - r * d, c + r * d
-            parts.append(f'<line x1="{to_px(a).split(",")[0]}" '
-                         f'y1="{to_px(a).split(",")[1]}" '
-                         f'x2="{to_px(b).split(",")[0]}" '
-                         f'y2="{to_px(b).split(",")[1]}" '
+            (x1, y1), (x2, y2) = to_px(a).split(","), to_px(b).split(",")
+            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                          'stroke="#999" stroke-dasharray="4 3"/>')
     path = " ".join(to_px(p) for p in pts)
     parts.append(f'<polyline points="{path}" fill="none" stroke="#c33" '

@@ -75,6 +75,17 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("module", ["toric_gac", "toric_gac.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    # both module forms must run main(), not exit 0 in silence
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "analyze", str(tmp_path / "none.crn")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and "input error" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_malformed_network_is_input_error(tmp_path, capsys):
     p = tmp_path / "bad.crn"
     p.write_text("species A B\nA -> ; k=1\n")

@@ -222,9 +222,9 @@ def test_fehlberg_step_fourth_order():
     for h, n_steps in ((0.1, 10), (0.05, 20)):
         x = np.array([[2.0, 1.0]])
         for _ in range(n_steps):
-            kept, x, _ = dynamics._rkf_step(net, np.ones((1, 2)), x,
-                                            np.array([[h]]))
-            assert kept.tolist() == [0]
+            x, _ = dynamics._rkf_step(net.kinetics, np.ones((1, 2)), x,
+                                      np.array([[h]]))
+            assert np.all(x > 0.0)
         errs.append(abs(x[0, 0] - pair_closed_form(1.0)))
     assert errs[0] / errs[1] >= 8.0
 
@@ -295,6 +295,18 @@ def test_band_violation_surfaces_during_integration():
                          RateBand(0.5))
     with pytest.raises(RateOutOfBand):
         integrate(net, sched, [2.0, 1.0], 2.0)
+
+
+def test_nonpositive_schedule_rate_raises():
+    # rates are checked once per piece, not by each field evaluation; a
+    # zero rate in the second piece must still stop the whole call
+    net = load("rev_pair")
+    sched = RateSchedule(np.array([0.0, 1.0]),
+                         np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        integrate(net, sched, [2.0, 1.0], 2.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        integrate(net, [sched, sched], np.ones((2, 2)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +477,9 @@ def test_failing_rows_leave_the_other_rows_unchanged():
     starts = np.array([[1.0], [1.0], [0.5]])
     # the steep row's first step, 1/64 of the horizon 2, leaves the orthant,
     # so it must be halved
-    kept, _, _ = dynamics._rkf_step(net, schedules[1].values, starts[1:2],
-                                    np.array([[2.0 / 64.0]]))
-    assert kept.size == 0
+    x4, x5 = dynamics._rkf_step(net.kinetics, schedules[1].values,
+                                starts[1:2], np.array([[2.0 / 64.0]]))
+    assert np.isnan(x4).all() and np.isnan(x5).all()
     singles = single_runs(net, schedules, starts, 2.0)
     assert isinstance(singles[1], Trajectory)
     assert isinstance(singles[2], StepSizeUnderflow)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from toric_gac import embedding
 from toric_gac.corpus import EMBEDDING_CORPUS, load
 from toric_gac.dynamics import RateBand, RateSchedule, mass_action_field
 from toric_gac.embedding import (
@@ -414,3 +415,17 @@ def test_halved_delta0_every_rate_failures_replay():
         assert np.array_equal(f.x, np.exp(states[f.trial]))
         assert set(f.to_json_dict()) == {"trial", "x", "log_x", "rates",
                                          "residual", "witness"}
+
+
+@pytest.mark.parametrize("H", [0, 1, 5, 39, 40, 45])
+def test_cell_keys_group_rows_as_np_unique_does(H):
+    # base-3 keys up to H = 39 (3^39 < 2^63), np.unique's row sort above;
+    # either way the cells come in np.unique's order, so reports keep theirs
+    rng = np.random.default_rng(H)
+    pool = rng.integers(-1, 2, size=(12, H)).astype(np.int8)
+    pool[0], pool[1] = -1, 1  # the smallest and the largest key
+    signs = pool[rng.integers(0, 12, size=400)]
+    cells, cell_of = embedding._cells(signs)
+    want_cells, want_of = np.unique(signs, axis=0, return_inverse=True)
+    assert np.array_equal(cells, want_cells)
+    assert np.array_equal(cell_of.ravel(), want_of.ravel())

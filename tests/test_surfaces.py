@@ -8,6 +8,7 @@ segments, and verification outcomes).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from toric_gac.dynamics import IntegratorOptions, RateBand, RateSchedule, integr
 from toric_gac.embedding import build_embedding
 from toric_gac.geometry import Arrangement
 from toric_gac.network import Complex, Reaction, ReactionNetwork
+from toric_gac import surfaces
 from toric_gac.surfaces import (
     BandsOverlap,
     CurveSegment,
@@ -349,6 +351,42 @@ def test_signed_distance_magnitude_near_segment():
                                                                      rel=1e-6)
     assert signed_distance_to_curve(inside, curve) == pytest.approx(-step,
                                                                     rel=1e-6)
+
+
+def probe_states(verts):
+    """States that stress the even-odd test and the clipped projections:
+    every vertex, points at each vertex's exact height left and right of
+    it, the origin side, beyond both chain ends, and far away."""
+    (x0, y0), (xe, ye) = verts[0], verts[-1]
+    pts = [(1e-3 * x0, 1e-3 * ye), (0.5 * xe, 0.5 * y0), (3.0 * x0, 0.5 * y0),
+           (2.0 * x0, y0), (0.5 * xe, 3.0 * ye), (xe, 2.0 * ye), (1e3, 1e3),
+           (5.0 * x0, 1e-300), (1e-300, 5.0 * ye), (x0, 0.5 * y0)]
+    for x, y in verts:
+        pts += [(x, y), (0.5 * x, y), (2.0 * x, y), (x, 0.999 * y)]
+    rng = np.random.default_rng(17)
+    lo, hi = math.log(min(xe, y0)) - 2.0, math.log(max(x0, ye)) + 2.0
+    pts += [tuple(p) for p in np.exp(rng.uniform(lo, hi, size=(200, 2)))]
+    return np.array(pts)
+
+
+def test_array_distance_minimum_equals_the_scalar_oracle():
+    # a two-band curve, a one-segment curve, and a chain with a zero-length
+    # segment (a repeated vertex), which no validated curve has
+    curves = [build_zero_separating_curve_2d(TWO, 0.3),
+              build_zero_separating_curve_2d(EMPTY, 0.3),
+              SimpleNamespace(vertices=((1.0, 0.01), (0.5, 0.1), (0.5, 0.1),
+                                        (0.01, 1.0)))]
+    for curve in curves:
+        states = probe_states(curve.vertices)
+        scalar = [signed_distance_to_curve(tuple(q), curve) for q in states]
+        assert min(scalar) < 0.0 < max(scalar)
+        pieces = [states[i:i + 1] for i in range(len(states))]
+        pieces += [states, states[::-1], states[10:]]
+        for part in pieces:
+            want = min(signed_distance_to_curve(tuple(q), curve) for q in part)
+            got = surfaces._min_signed_distance(part, curve)
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 # -- trajectory crossing -------------------------------------------------
