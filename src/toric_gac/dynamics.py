@@ -194,7 +194,7 @@ def _field(kin, k, X) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _row_index(rows: int, edges: int) -> np.ndarray:
     return np.arange(rows).repeat(edges)  # the batch row of each edge term
 
@@ -240,21 +240,21 @@ _USES = [np.array([c[j] for c in _SUMS[j:]])[:, None, None] for j in range(6)]
 def _rkf_step(kin, rates, x, h):
     """4th- and 5th-order Fehlberg solutions of each positive row of ``x``
     with its ``rates`` row and step ``h`` (a column); both NaN for a row
-    whose stage argument leaves the orthant (later stages then take ``x``).
-    Each sum adds its terms in tableau order, as a term-by-term sum would."""
+    whose stage argument or x4 leaves the orthant (later stages then take
+    ``x``).  Each sum adds its terms in tableau order, as a term-by-term
+    sum would."""
     acc = np.zeros((7, *x.shape))
     arg, left = x, np.zeros(len(x), dtype=bool)
     for j, uses in enumerate(_USES):
         acc[j:] += uses * _field(kin, rates, arg)
-        if j < 5:
-            arg = x + h * acc[j]
-            out = arg <= 0.0
-            if np.count_nonzero(out):
-                left |= out.any(axis=1)
-                arg = np.where(left[:, None], x, arg)
-    x4, x5 = x + h * acc[5], x + h * acc[6]
-    x4[left] = x5[left] = np.nan
-    return x4, x5
+        arg = x + h * acc[j]  # the next stage's argument, then x4
+        out = arg <= 0.0
+        if np.count_nonzero(out):
+            left |= out.any(axis=1)
+            arg = np.where(left[:, None], x, arg)
+    x5 = x + h * acc[6]
+    arg[left] = x5[left] = np.nan
+    return arg, x5
 
 
 def _row_schedules(net: ReactionNetwork, rates_or_schedule,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from toric_gac import equilibria
 from toric_gac.corpus import EMBEDDING_CORPUS, NETWORK_TEXTS, load
 from toric_gac.dynamics import DimensionMismatch, mass_action_field
 from toric_gac.equilibria import (
@@ -287,6 +288,27 @@ def test_solve_whole_corpus_honest():
             assert report.found, name
         if report.found:
             assert max(abs(v) for v in report.residual) <= 1e-10, name
+
+
+def test_solve_checks_its_input_once(monkeypatch):
+    # the solve checks weak reversibility and the rates, then reaches the
+    # tree constants without checking them again
+    calls = {"reversible": 0, "rates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(equilibria, "is_weakly_reversible",
+                        counted("reversible", equilibria.is_weakly_reversible))
+    monkeypatch.setattr(equilibria, "_edge_rates",
+                        counted("rates", equilibria._edge_rates))
+    assert solve_complex_balanced(load("triangle")).found
+    assert calls == {"reversible": 1, "rates": 2}  # + the residual's rates
+    with pytest.raises(NotWeaklyReversible):
+        solve_complex_balanced(parse_network("species A B\nA -> B ; k=1"))
 
 
 def test_solve_chain_balanced_and_unbalanced():
