@@ -331,7 +331,7 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
             except RateOutOfBand as exc:
                 failed[r] = exc
         edge = 1e-12 * max(1.0, abs(t1))
-        # rows in this piece (ids, states, times, steps, rates, step counts)
+        # rows in this piece: ids, states, times, step sizes, rates, counts
         w = np.flatnonzero([f is None and t1 - t0 > edge for f in failed])
         if (rates[w] <= 0.0).any():
             raise ValueError("rates must be strictly positive")
