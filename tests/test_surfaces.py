@@ -13,12 +13,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from toric_gac import surfaces
 from toric_gac.corpus import load
 from toric_gac.dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
 from toric_gac.embedding import build_embedding
 from toric_gac.geometry import Arrangement
 from toric_gac.network import Complex, Reaction, ReactionNetwork
-from toric_gac import surfaces
 from toric_gac.surfaces import (
     BandsOverlap,
     CurveSegment,
