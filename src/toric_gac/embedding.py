@@ -14,15 +14,16 @@ state.  The field f(k) = sum_e k_e x^(y_e) c_e is linear in k and the
 cell's inclusion cone C is a closed polyhedral cone, so f(k) lies in C for
 every k in [lo, hi]^E exactly when, for each generator w of the polar cone
 of C, the worst rate corner (k_e = hi where w.c_e > 0, else lo) keeps
-w.f(k) <= 0.  This is closed form; the polar generators depend only on the
-arrangement and the cell's sign vector and are computed once per cell.
+w.f(k) <= 0.  This is closed form.  The polar generators depend only on the
+arrangement and the cell's sign vector; they are cached per arrangement,
+keyed by sign row, and one stacked pass checks every sampled state against
+its own cell's generators, whatever the number of visited cells.
 ``verify_embedding_at`` checks one rate vector with NNLS and is the oracle
 a failure replays through.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -174,19 +175,41 @@ def _normalize_box(box, n: int) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
-@functools.lru_cache(maxsize=1024)
-def _polar_generators(arr: Arrangement, signs: tuple[int, ...],
-                      n: int) -> np.ndarray:
-    """Read-only polar generators of the inclusion cone of the cell with
-    sign vector ``signs``; no rows when that cone is all of space."""
-    polar = polar_cone(cell_cone(arr, signs, n), dim=n)
-    polar.flags.writeable = False
-    return polar
+_POLAR_CELLS = 1024  # cached cells over all arrangements
+_TRIAL_BLOCK = 1024  # trials per gathered contraction
+_polar_tables: dict[Arrangement, dict[bytes, np.ndarray]] = {}
+
+
+def _polar_generators(arr: Arrangement, cells: np.ndarray,
+                      n: int) -> list[np.ndarray]:
+    """Read-only polar generators of the inclusion cone of each cell, one
+    int8 sign row of ``cells`` per cell; no rows where that cone is all of
+    space.  The arrangement's table, keyed by sign row, is found with one
+    hash of ``arr``; the tables hold at most ``_POLAR_CELLS`` cells and are
+    emptied when full."""
+    table = _polar_tables.setdefault(arr, {})
+    width = cells.shape[1]
+    flat = cells.tobytes()
+    out = []
+    for c in range(len(cells)):
+        key = flat[c * width:(c + 1) * width]
+        polar = table.get(key)
+        if polar is None:
+            polar = polar_cone(cell_cone(arr, cells[c].tolist(), n), dim=n)
+            polar.flags.writeable = False
+            if sum(map(len, _polar_tables.values())) >= _POLAR_CELLS:
+                _polar_tables.clear()
+                table = _polar_tables[arr] = {}
+            table[key] = polar
+        out.append(polar)
+    return out
 
 
 def _cells(signs: np.ndarray):
-    """``np.unique(signs, axis=0, return_inverse=True)``, through base-3 row
-    keys while 3^H fits in int64: they sort as the rows do."""
+    """Distinct sign rows and each row's index among them, as
+    ``np.unique(signs, axis=0, return_inverse=True)`` gives them, through
+    base-3 row keys while 3^H fits in int64.  The cell order reaches no
+    output: each trial is checked against its own cell's generators."""
     if 3 ** signs.shape[1] > 2 ** 63:
         return np.unique(signs, axis=0, return_inverse=True)
     key = (signs + 1).astype(np.int64) @ 3 ** np.arange(signs.shape[1])[::-1]
@@ -210,6 +233,11 @@ def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
     that corner too.  Each trial draws n + E uniforms, the state from the
     first n, so a seed samples the states a per-trial ``rng.uniform`` loop
     over the box and the log rates would.
+
+    All visited cells are checked in one stacked pass: their generators are
+    zero-padded to a (C, G, n) stack, every trial is contracted with its
+    own cell's worst-corner matrix, in blocks of ``_TRIAL_BLOCK`` trials,
+    and padded rows never win the maximum.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,22 +255,29 @@ def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
     mono = np.exp(log_mono - shift[:, None])
     bound = tol * np.maximum(np.exp(-shift), band.hi * (
         mono @ np.linalg.norm(kin.D, axis=1)))
-    margin = np.full(trials, -np.inf)
-    witness = np.zeros((trials, n))
     cells, cell_of = _cells(signs)
-    for c, cell in enumerate(cells):
-        polar = _polar_generators(cert.arrangement, tuple(cell.tolist()), n)
-        if not len(polar):
-            continue  # the cone is all of space
-        rows = np.flatnonzero(cell_of == c)
-        a = polar @ kin.D.T
-        vals = mono[rows] @ np.where(a > 0.0, band.hi * a, band.lo * a).T
-        best = vals.argmax(axis=1)
-        margin[rows] = vals[np.arange(len(rows)), best]
-        witness[rows] = polar[best]
+    cell_of = cell_of.ravel()
+    polars = _polar_generators(cert.arrangement, cells, n)
+    counts = np.fromiter(map(len, polars), dtype=np.intp, count=len(polars))
+    # G >= 1 even when every visited cone is all of space and has no rows
+    valid = np.arange(max(1, counts.max())) < counts[:, None]
+    stack = np.zeros(valid.shape + (n,))
+    stack[valid] = np.concatenate(polars)
+    a = stack @ kin.D.T
+    worst = np.where(a > 0.0, band.hi * a, band.lo * a)
+    margin = np.empty(trials)
+    best = np.empty(trials, dtype=np.intp)
+    for s in range(0, trials, _TRIAL_BLOCK):
+        blk = slice(s, s + _TRIAL_BLOCK)
+        c = cell_of[blk]
+        vals = np.einsum("te,tge->tg", mono[blk], worst[c])
+        vals[~valid[c]] = -np.inf
+        best[blk] = vals.argmax(axis=1)
+        margin[blk] = vals.max(axis=1)
+    fail = np.flatnonzero(margin > bound)
+    witness = stack[cell_of[fail], best[fail]]
     failures = []
-    for t in np.flatnonzero(margin > bound):
-        w = witness[t]
+    for w, t in zip(witness, fail):
         rates = np.where(kin.D @ w > 0.0, band.hi, band.lo)
         failures.append(FailureWitness(
             int(t), tuple(np.exp(log_x[t])), tuple(log_x[t]), tuple(rates),

@@ -222,16 +222,18 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
 # ---------------------------------------------------------------------------
 # Lyapunov function and Birch points
 
-def lyapunov_value(x, x0) -> float:
+def lyapunov_value(x, x0) -> float | np.ndarray:
     """V(x; x0) = sum_i x_i (ln x_i - ln x0_i - 1) + x0_i; zero exactly at
-    x = x0, strictly convex on the open orthant."""
+    x = x0, strictly convex on the open orthant.  A (K, n) stack of states
+    gives the K values, each bit-equal to its own one-state call."""
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if x.shape != x0.shape:
+    if x.shape[-1:] != x0.shape or x.ndim > 2:
         raise DimensionMismatch(f"shapes {x.shape} and {x0.shape} differ")
     if np.any(x <= 0.0) or np.any(x0 <= 0.0):
         raise ValueError("states must be strictly positive")
-    return float(np.sum(x * (np.log(x) - np.log(x0) - 1.0) + x0))
+    v = np.sum(x * (np.log(x) - np.log(x0) - 1.0) + x0, axis=-1)
+    return v if x.ndim == 2 else float(v)
 
 
 def lyapunov_gradient(x, x0) -> np.ndarray:

@@ -145,9 +145,8 @@ def _measure(ic: np.ndarray, birch, traj,
         for outcome in (birch, traj):
             if isinstance(outcome, Exception):
                 raise outcome
-        values = [lyapunov_value(x, birch) for x in traj.states]
-        increases = [b - a for a, b in zip(values, values[1:])]
-        max_inc = max(increases) if increases else 0.0
+        values = lyapunov_value(traj.states, birch)
+        max_inc = np.diff(values).max() if len(values) > 1 else 0.0
         final = traj.states[-1]
         dist = float(np.max(np.abs(final - birch)))
         pmin = float(np.min(persistence_metrics(traj)))

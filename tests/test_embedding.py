@@ -24,7 +24,12 @@ from toric_gac.embedding import (
     sample_verify_embedding,
     verify_embedding_at,
 )
-from toric_gac.geometry import cone_membership, inclusion_cone
+from toric_gac.geometry import (
+    cell_cone,
+    cone_membership,
+    inclusion_cone,
+    polar_cone,
+)
 from toric_gac.network import NotWeaklyReversible, cycle_cover, parse_network
 
 
@@ -417,10 +422,113 @@ def test_halved_delta0_every_rate_failures_replay():
                                          "residual", "witness"}
 
 
+def per_cell_report(cert, net, band, trials, seed, box=(-8.0, 8.0),
+                    tol=1e-9):
+    """Passes and {trial: (residual, witness, rates)} of the every-rate
+    check run one cell at a time: the visited sign rows through np.unique,
+    each cell's polar generators from geometry, and one worst-corner matrix
+    product per cell over that cell's trials."""
+    kin, n = net.kinetics, net.n
+    u = np.random.default_rng(seed).random((trials, n + len(kin.k)))
+    log_x = box[0] + (box[1] - box[0]) * u[:, :n]
+    d = log_x @ cert.arrangement.normal_matrix().reshape(-1, n).T
+    signs = np.where(np.abs(d) < cert.delta0, 0, np.sign(d)).astype(np.int8)
+    log_mono = log_x @ kin.Ys.T
+    shift = log_mono.max(axis=1, initial=0.0)
+    mono = np.exp(log_mono - shift[:, None])
+    bound = tol * np.maximum(np.exp(-shift), band.hi * (
+        mono @ np.linalg.norm(kin.D, axis=1)))
+    cells, cell_of = np.unique(signs, axis=0, return_inverse=True)
+    failures = {}
+    for c, cell in enumerate(cells):
+        polar = polar_cone(cell_cone(cert.arrangement, cell.tolist(), n),
+                           dim=n)
+        if not len(polar):
+            continue
+        rows = np.flatnonzero(cell_of.ravel() == c)
+        a = polar @ kin.D.T
+        vals = mono[rows] @ np.where(a > 0.0, band.hi * a, band.lo * a).T
+        for t, row in zip(rows, vals):
+            g = int(row.argmax())
+            if row[g] > bound[t]:
+                w = polar[g]
+                rates = np.where(kin.D @ w > 0.0, band.hi, band.lo)
+                failures[int(t)] = (row[g] * np.exp(shift[t]), tuple(w),
+                                    tuple(rates))
+    return trials - len(failures), failures
+
+
+def assert_matches_per_cell(cert, net, band, seed, trials=1000):
+    report = sample_verify_embedding(cert, net, band, trials, seed=seed)
+    passes, want = per_cell_report(cert, net, band, trials, seed)
+    assert report.passes == passes
+    assert [f.trial for f in report.failures] == sorted(want)
+    for f in report.failures:
+        residual, witness, rates = want[f.trial]
+        assert f.witness == witness and f.rates == rates
+        assert abs(f.residual - residual) <= 1e-12 * abs(residual)
+    return report
+
+
+@pytest.mark.parametrize("name", EMBEDDING_CORPUS)
+def test_stacked_pass_matches_per_cell_loop(name):
+    net = load(name)
+    for eps in (0.9, 0.5, 0.1):
+        band = RateBand(eps)
+        cert = build_embedding(net, band)
+        for seed in (5, 6):
+            assert assert_matches_per_cell(cert, net, band, seed).all_passed
+
+
+@pytest.mark.parametrize("name", ["triangle", "cycle_4sp"])
+def test_stacked_pass_matches_per_cell_loop_on_halved_delta0(name):
+    net = load(name)
+    for eps in (0.5, 0.1):
+        band = RateBand(eps)
+        cert = build_embedding(net, band)
+        bad = EmbeddingCertificate(cert.arrangement, cert.delta0 / 2.0,
+                                   cert.cover, cert.epsilon_split)
+        for seed in (5, 6):
+            report = assert_matches_per_cell(bad, net, band, seed)
+            assert report.failures
+
+
+def test_no_visited_cell_has_generators():
+    # at eps 0.01 the triangle's bands cover the whole default box: every
+    # visited cell lies on all three bands and its cone is all of space
+    net = load("triangle")
+    band = RateBand(0.01)
+    cert = build_embedding(net, band)
+    for log_x in per_trial_states(net.n, 50, 0, len(net.reactions)):
+        gens = inclusion_cone(cert.arrangement, cert.delta0, log_x)
+        assert len(polar_cone(gens, dim=net.n)) == 0
+    report = sample_verify_embedding(cert, net, band, 1000, seed=0)
+    assert report.passes == 1000 and report.failures == ()
+
+
+def test_small_polar_tables_and_trial_blocks_keep_the_report(monkeypatch):
+    # a table bound below one call's cell count empties the tables mid-call
+    # and a ragged last trial block is shorter; the report does not change
+    # and the tables never exceed the bound
+    net = load("cycle_4sp")
+    band = RateBand(0.1)
+    cert = build_embedding(net, band)
+    bad = EmbeddingCertificate(cert.arrangement, cert.delta0 / 2.0,
+                               cert.cover, cert.epsilon_split)
+    want = sample_verify_embedding(bad, net, band, 1000, seed=3)
+    assert want.failures
+    monkeypatch.setattr(embedding, "_POLAR_CELLS", 16)
+    monkeypatch.setattr(embedding, "_TRIAL_BLOCK", 96)
+    monkeypatch.setattr(embedding, "_polar_tables", {})
+    got = sample_verify_embedding(bad, net, band, 1000, seed=3)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert 0 < sum(map(len, embedding._polar_tables.values())) <= 16
+
+
 @pytest.mark.parametrize("H", [0, 1, 5, 39, 40, 45])
 def test_cell_keys_group_rows_as_np_unique_does(H):
     # base-3 keys up to H = 39 (3^39 < 2^63), np.unique's row sort above;
-    # either way the cells come in np.unique's order, so reports keep theirs
+    # either way the cells come in np.unique's order
     rng = np.random.default_rng(H)
     pool = rng.integers(-1, 2, size=(12, H)).astype(np.int8)
     pool[0], pool[1] = -1, 1  # the smallest and the largest key

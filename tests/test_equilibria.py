@@ -355,6 +355,24 @@ def test_lyapunov_value_examples():
         lyapunov_value([1.0, -1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+def test_lyapunov_value_of_a_stack_equals_its_rows(n):
+    # experiment reports take one stacked call per trajectory and must
+    # stay byte-identical to one call per state
+    rng = np.random.default_rng(n)
+    xs = np.exp(rng.uniform(-20.0, 20.0, size=(300, n)))
+    x0 = np.exp(rng.uniform(-5.0, 5.0, size=n))
+    got = lyapunov_value(xs, x0)
+    assert got.shape == (300,)
+    assert np.array_equal(got, [lyapunov_value(x, x0) for x in xs])
+    with pytest.raises(DimensionMismatch):
+        lyapunov_value(xs, np.ones(n + 1))
+    with pytest.raises(DimensionMismatch):
+        lyapunov_value(xs[None], x0)
+    with pytest.raises(ValueError):
+        lyapunov_value(-xs, x0)
+
+
 def test_lyapunov_positive_away_from_minimum():
     rng = np.random.default_rng(3)
     x0 = np.array([0.7, 2.0, 1.3])
