@@ -5,6 +5,13 @@ Subcommands: ``analyze``, ``equilibrium``, ``simulate``, ``embed-verify``,
 deterministic JSON (schema 1) on stdout; ``--out DIR`` additionally writes
 them to files (plus CSV/SVG where applicable).  Exit codes: 0 pass,
 1 assertion failure, 2 usage or parse error.
+
+Each subcommand imports only the layers it runs, inside its function, so a
+process compiles no module it does not use: ``analyze`` loads ``network``
+and ``jsonio`` alone, ``embed-verify`` adds ``dynamics``, ``geometry`` and
+``embedding``, and ``persist``/``gac`` add ``dynamics``, ``equilibria`` and
+``experiments``.  ``cli_dispatch`` maps the error classes of the layers
+that were loaded.
 """
 
 from __future__ import annotations
@@ -16,34 +23,8 @@ import sys
 
 import numpy as np
 
-from .dynamics import RateBand, StepSizeUnderflow, integrate
-from .embedding import build_embedding, sample_verify_embedding
-from .equilibria import NoComplexBalance, SingularSystem, solve_complex_balanced
-from .experiments import (
-    ExperimentConfig,
-    InitialConditions,
-    run_global_attractor_experiment,
-    run_persistence_experiment,
-)
-from .geometry import DimensionTooLarge
 from .jsonio import csv_text, report_json, write_text
-from .network import (
-    NetworkParseError,
-    NotWeaklyReversible,
-    deficiency,
-    is_reversible,
-    is_weakly_reversible,
-    linkage_classes,
-    parse_network,
-    stoichiometric_subspace,
-)
-from .surfaces import (
-    BandsOverlap,
-    build_zero_separating_curve_2d,
-    curve_to_certificate,
-    curve_to_svg,
-    verify_zero_separating,
-)
+from .network import NetworkParseError, NotWeaklyReversible, parse_network
 
 
 def _load(path: str):
@@ -103,6 +84,9 @@ _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def cmd_analyze(args) -> int:
+    from .network import (deficiency, is_reversible, is_weakly_reversible,
+                          linkage_classes, stoichiometric_subspace)
+
     net = _load(args.network)
     _, s = stoichiometric_subspace(net)
     payload = {
@@ -117,6 +101,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibria import solve_complex_balanced
+
     net = _load(args.network)
     report = solve_complex_balanced(net, tol=args.tol)
     _emit(args, report.to_json_dict(), "equilibrium.json")
@@ -124,6 +110,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import integrate
+
     net = _load(args.network)
     x0 = _parse_x0(args.x0, net.n)
     traj = integrate(net, None, x0, args.horizon)
@@ -145,6 +133,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_embed_verify(args) -> int:
+    from .dynamics import RateBand
+    from .embedding import build_embedding, sample_verify_embedding
+
     net = _load(args.network)
     band = RateBand(args.epsilon)
     cert = build_embedding(net, band)
@@ -157,6 +148,10 @@ def cmd_embed_verify(args) -> int:
 
 
 def _curve_for(net, epsilon: float):
+    from .dynamics import RateBand
+    from .embedding import build_embedding
+    from .surfaces import build_zero_separating_curve_2d
+
     if net.n != 2:
         raise UsageError("curve construction needs exactly 2 species")
     band = RateBand(epsilon)
@@ -166,6 +161,8 @@ def _curve_for(net, epsilon: float):
 
 
 def cmd_curve2d(args) -> int:
+    from .surfaces import curve_to_svg
+
     net = _load(args.network)
     cert, curve = _curve_for(net, args.epsilon)
     payload = {"epsilon": args.epsilon, "delta0": cert.delta0,
@@ -178,6 +175,8 @@ def cmd_curve2d(args) -> int:
 
 
 def cmd_certify_surface(args) -> int:
+    from .surfaces import curve_to_certificate, verify_zero_separating
+
     net = _load(args.network)
     cert, curve = _curve_for(net, args.epsilon)
     sampled = curve_to_certificate(curve, samples_per_segment=args.samples)
@@ -190,7 +189,9 @@ def cmd_certify_surface(args) -> int:
     return 0 if outcome.passed else 1
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args):
+    from .experiments import ExperimentConfig, InitialConditions
+
     return ExperimentConfig(
         epsilon=args.epsilon,
         horizon=args.horizon,
@@ -215,10 +216,14 @@ def _run_experiment(args, runner, name: str) -> int:
 
 
 def cmd_persist(args) -> int:
+    from .experiments import run_persistence_experiment
+
     return _run_experiment(args, run_persistence_experiment, "persistence")
 
 
 def cmd_gac(args) -> int:
+    from .experiments import run_global_attractor_experiment
+
     return _run_experiment(args, run_global_attractor_experiment,
                            "global_attractor")
 
@@ -282,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify_surface)
 
     p = sub.add_parser("persist", help="persistence experiment")
-    common(p, epsilon=band_help + "; not used yet: the run integrates the "
-           "network's own rates", horizon=True, trials=10, seed=True,
-           tol=1e-6, formats=("json", "csv"))
-    p.set_defaults(func=cmd_persist)
+    common(p, epsilon=band_help + "; default 1.0; not used yet: the run "
+           "integrates the network's own rates", horizon=True, trials=10,
+           seed=True, tol=1e-6, formats=("json", "csv"))
+    p.set_defaults(func=cmd_persist, epsilon=1.0)
 
     p = sub.add_parser("gac", help="global-attractor experiment")
     common(p, horizon=True, trials=10, seed=True, tol=1e-6,
@@ -296,6 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gac)
 
     return parser
+
+
+def _loaded(names) -> tuple[type, ...]:
+    """The classes among ``(module, class)`` pairs whose module this process
+    has imported: an error class from a module never imported cannot have
+    been raised."""
+    return tuple(getattr(m, cls) for mod, cls in names
+                 if (m := sys.modules.get(f"{__package__}.{mod}")) is not None)
 
 
 def cli_dispatch(argv=None) -> int:
@@ -309,11 +322,15 @@ def cli_dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, NetworkParseError, DimensionTooLarge) as exc:
+    except (OSError, NetworkParseError,
+            *_loaded((("geometry", "DimensionTooLarge"),))) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NotWeaklyReversible, NoComplexBalance, SingularSystem,
-            BandsOverlap, StepSizeUnderflow) as exc:
+    except (NotWeaklyReversible,
+            *_loaded((("equilibria", "NoComplexBalance"),
+                      ("equilibria", "SingularSystem"),
+                      ("surfaces", "BandsOverlap"),
+                      ("dynamics", "StepSizeUnderflow")))) as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from toric_gac.cli import cli_dispatch
+from toric_gac.cli import build_parser, cli_dispatch
 from toric_gac.corpus import NETWORK_TEXTS
 from toric_gac.equilibria import solve_complex_balanced
 from toric_gac.experiments import ExperimentConfig, InitialConditions, \
@@ -55,6 +55,29 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+FRESH = """\
+import contextlib, io, json, sys
+from toric_gac.cli import cli_dispatch
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli_dispatch(sys.argv[1:])
+print(json.dumps({"out": out.getvalue(), "modules": sorted(sys.modules)}))
+sys.exit(code)
+"""
+
+
+def run_fresh(*argv):
+    """``cli_dispatch(argv)`` in a new interpreter, which has imported
+    nothing but what the dispatch imports: (exit code, stdout of the
+    dispatch, stderr, names in ``sys.modules`` afterwards)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.stdout, proc.stderr  # a traceback, not a mapped error
+    doc = json.loads(proc.stdout)
+    return proc.returncode, doc["out"], proc.stderr, set(doc["modules"])
 
 
 # -- exit codes -----------------------------------------------------------
@@ -197,13 +220,45 @@ def test_embed_verify_above_six_species_is_input_error(net_path, capsys):
 
 
 def test_embed_verify_does_not_import_scipy(net_path):
-    script = ("import sys; from toric_gac.cli import cli_dispatch; "
-              f"code = cli_dispatch(['embed-verify', {net_path('triangle')!r}]); "
-              "assert 'scipy' not in sys.modules; sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    code, _, err, modules = run_fresh("embed-verify", net_path("triangle"))
+    assert code == 0, err
+    assert "scipy" not in modules
+
+
+# -- what a fresh process imports and how its errors map -------------------
+
+LAYERS = ("dynamics", "geometry", "embedding", "equilibria", "experiments",
+          "surfaces")
+
+
+@pytest.mark.parametrize("argv,used", [
+    (("analyze",), ()),
+    (("embed-verify", "--trials", "50"), ("dynamics", "geometry", "embedding")),
+    (("persist", "--trials", "2"), ("dynamics", "equilibria", "experiments")),
+    (("gac", "--trials", "2"), ("dynamics", "equilibria", "experiments")),
+], ids=["analyze", "embed-verify", "persist", "gac"])
+def test_subcommand_imports_only_its_layers(net_path, argv, used):
+    code, _, err, modules = run_fresh(argv[0], net_path("rev_pair"), *argv[1:])
+    assert code == 0, err
+    loaded = {m for m in LAYERS if f"toric_gac.{m}" in modules}
+    assert loaded == set(used)
+
+
+@pytest.mark.parametrize("argv,network,expected,line", [
+    (("embed-verify",), "not_weakly_reversible", 1,
+     "check failed: NotWeaklyReversible: edge 0->1 leaves its strongly "
+     "connected component"),
+    (("embed-verify", "--trials", "10"), "pair_7sp", 2,
+     "input error: polar cone limited to dimension 6, got 7"),
+    # NoComplexBalance comes from equilibria, which only gac/persist import
+    (("gac", "--trials", "2"), "two_triangles_vertex", 1,
+     "check failed: NoComplexBalance: experiment requires a "
+     "vertex-balance-solvable network"),
+], ids=["NotWeaklyReversible", "DimensionTooLarge", "NoComplexBalance"])
+def test_errors_map_in_a_fresh_process(net_path, argv, network, expected,
+                                       line):
+    code, out, err, _ = run_fresh(argv[0], net_path(network), *argv[1:])
+    assert (code, out, err) == (expected, "", line + "\n")
 
 
 # -- curve2d and certify-surface ------------------------------------------
@@ -242,6 +297,16 @@ def test_persist_subcommand(net_path, capsys):
     assert code == 0
     assert doc["passed"] is True
     assert len(doc["trajectories"]) == 4
+
+
+def test_persist_epsilon_defaults_to_one(net_path, capsys):
+    path = net_path("rev_pair")
+    assert build_parser().parse_args(["persist", path]).epsilon == 1.0
+    # the value is not used yet, so any band gives the default report
+    reports = [run(capsys, "persist", path, "--trials", "2", *flag)
+               for flag in ((), ("--epsilon", "1.0"), ("--epsilon", "0.5"))]
+    assert reports[0][0] == 0
+    assert reports[1] == reports[2] == reports[0]
 
 
 def test_gac_subcommand_with_files(net_path, tmp_path, capsys):
