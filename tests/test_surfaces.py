@@ -7,6 +7,8 @@ order, monotonicity, axis-corridor endpoints, conservation along band
 segments, and verification outcomes).
 """
 
+import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -491,6 +493,34 @@ def test_curve_json_round_trip_is_stable():
     d = curve.to_json_dict()
     assert d["delta"] == 0.5
     assert [s["band_index"] for s in d["segments"]] == [0, None, 1]
+
+
+# sha256 of the newline-joined JSON of one network's curves over
+# CORPUS_EPSILONS; three triangles share one arrangement, and so do
+# rev_pair and powerlaw_pair
+CORPUS_EPSILONS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
+GOLDEN_CURVE_DIGESTS = {
+    "rev_pair": "5ef3d30faf7974c23a6eb3a8e8564435e9487e89d33339710ab1c7d004f5c5bd",
+    "triangle": "f6ff9950e499dcac6d3c8644ac0943c50cce55fa7e6b37800f36d194de4bc63f",
+    "rev_triangle_db": "f6ff9950e499dcac6d3c8644ac0943c50cce55fa7e6b37800f36d194de4bc63f",
+    "rev_triangle_skew": "f6ff9950e499dcac6d3c8644ac0943c50cce55fa7e6b37800f36d194de4bc63f",
+    "two_triangles_vertex": "10ee17732978af72c997ab15e7044438a98b0e46c38770b9444e907e239a84a0",
+    "two_triangles_edge": "72542dab908ecd327530b6da427b58f174d139409855124ba275b12d8abd2b21",
+    "square": "906b5a4f6bed1cff22a893d62bd3cb0e624d7d3cf67e823f17f138253c1d89c3",
+    "powerlaw_pair": "5ef3d30faf7974c23a6eb3a8e8564435e9487e89d33339710ab1c7d004f5c5bd",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CURVE_DIGESTS)
+def test_corpus_curves_match_golden_digests(name):
+    net = load(name)
+    parts = []
+    for eps in CORPUS_EPSILONS:
+        emb = build_embedding(net, RateBand(eps))
+        curve = build_zero_separating_curve_2d(emb.arrangement, emb.delta0)
+        parts.append(json.dumps(curve.to_json_dict()))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == GOLDEN_CURVE_DIGESTS[name]
 
 
 def test_svg_render_smoke():
