@@ -12,9 +12,10 @@ open third quadrant are crossed once each, in the angular order of their
 interior directions, by straight state-space segments parallel to the
 hyperplane normal (so nu _|_ n exactly inside the band); between bands a
 connector runs along the middle direction of the sector's admissible
-normal cone.  Every n_j . log x is strictly monotone along every segment
-(normals have sign pattern (+,-), travel directions (-,+)), so each band
-boundary is hit exactly once and all junctions come from bisection.
+normal cone, and junctions come from bisection.  ``verify_curve_exact``,
+which decides the invariance condition at every point of the curve, is
+the one acceptance gate: a chain it rejects, or one that turns back, is
+rebuilt at half the scale.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
-from .geometry import Arrangement, fan_inclusion_cone, inclusion_cone, polar_cone
+from .geometry import Arrangement, inclusion_cone, polar_cone
 from .network import ReactionNetwork
 
 _SCALE_FLOOR = 1e-300
 _MAX_HALVINGS = 1000
-_SEG_SAMPLES = 33  # construction self-check density per segment
 
 
 class BandsOverlap(RuntimeError):
@@ -204,20 +204,6 @@ def _axis_hit(p: np.ndarray, u: np.ndarray, x1_target: float) -> float:
     return (x1_target - p[0]) / u[0]
 
 
-def _check_clear(points, normals: np.ndarray, delta: float, skip: int | None):
-    for q in points:
-        proj = np.abs(normals @ np.log(q))
-        for j, v in enumerate(proj):
-            if j == skip:
-                continue
-            if v < delta:
-                raise _RetryScale
-
-
-def _segment_points(a: np.ndarray, b: np.ndarray, k: int) -> list[np.ndarray]:
-    return [a + (b - a) * (i / (k - 1.0)) for i in range(k)]
-
-
 def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D:
     tiny = 1e-10 * scale
     normals = arr.normal_matrix()
@@ -226,22 +212,16 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
 
     start = np.array([scale, tiny])
 
-    # a band hugging the x1-axis below the start corridor is never entered;
-    # the curve begins on its far side and stays there
+    # bands the start is not clearly above are not crossed; the exact gate
+    # rejects the chain if one of them is entered anyway
     crossings: list[int] = []
     for i in order:
         v = float(arr.hyperplanes[i].vector @ np.log(start))
         if v > pad:
             crossings.append(i)
-        elif v > -pad:
-            raise _RetryScale  # start sits inside or against the band
     k = len(crossings)
 
     if k == 0:
-        b = np.array([tiny, scale])
-        if len(arr):
-            _check_clear(_segment_points(start, b, _SEG_SAMPLES), normals,
-                         delta, None)
         nu = (math.sqrt(0.5), math.sqrt(0.5))
         seg = CurveSegment(tuple(start), (tiny, scale), nu, None)
         return PolygonalCurve2D((seg,), scale, delta)
@@ -249,12 +229,6 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
     ns = [np.array(arr.hyperplanes[i].normal) for i in crossings]
     dirs = [_interior_direction(arr.hyperplanes[i].normal) for i in crossings]
     segments: list[CurveSegment] = []
-
-    def ahead(p, u, tau, pos):
-        """No band boundary from crossing ``pos`` on is met before tau."""
-        for n2 in ns[pos:]:
-            if _first_hit(p, u, n2, pad) < tau:
-                raise _RetryScale
 
     def connector(p, probe, pos):
         """Append the connector from p along the middle normal of the
@@ -266,9 +240,7 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
             tau = _axis_hit(p, u_c, tiny)
         else:
             tau = _first_hit(p, u_c, ns[pos], pad)
-            ahead(p, u_c, tau, pos + 1)
         q = p + tau * u_c
-        _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals, delta, None)
         segments.append(CurveSegment(tuple(p), tuple(q),
                                      (float(nu_c[0]), float(nu_c[1])), None))
         return q
@@ -288,11 +260,7 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
                 absorbed = False
             if not absorbed:
                 p = connector(p, np.log(p), 0)
-        # later entries sit exactly at +pad (bisection residue either side)
-        elif float(n @ np.log(p)) <= 0.5 * (pad + delta):
-            raise _RetryScale
         tau = _first_hit(p, u, n, -pad)
-        ahead(p, u, tau, pos + 1)
         at_axis = pos == k - 1 and p[0] <= tiny  # inside the axis corridor
         if pos == k - 1 and not at_axis:
             # absorb the trailing run into the crossing when the band is
@@ -302,7 +270,6 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
                 tau, at_axis = tau_axis, True
         q = p + tau * u
         nu = -dirs[pos]
-        _check_clear(_segment_points(p, q, _SEG_SAMPLES), normals, delta, hyp)
         segments.append(CurveSegment(tuple(p), tuple(q),
                                      (float(nu[0]), float(nu[1])), hyp))
         p = q
@@ -313,16 +280,18 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
             # trailing connector through the final sector to the axis
             connector(p, dirs[pos] + np.array([-1.0, 0.0]), k)
 
-    junctions = [np.array(s.start) for s in segments[1:]]
-    _check_clear(junctions, normals, delta, None)
-    return PolygonalCurve2D(tuple(segments), scale, delta)
+    try:
+        return PolygonalCurve2D(tuple(segments), scale, delta)
+    except ValueError:  # a chain that turns back
+        raise _RetryScale from None
 
 
 def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
                                    scale: float = 1e-3) -> PolygonalCurve2D:
     """Curve at distance ~scale from the origin crossing every band of the
-    arrangement once.  Halves the scale (up to 1000 times) whenever bands
-    collide along the tentative curve."""
+    arrangement once.  Each tentative chain is accepted only when
+    ``verify_curve_exact`` passes it; otherwise, or when no valid chain
+    forms, the scale halves (up to 1000 times)."""
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if not (0.0 < scale < 1.0):
@@ -333,11 +302,14 @@ def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
     s = scale
     for _ in range(_MAX_HALVINGS):
         try:
-            return _construct(arr, delta, s)
+            curve = _construct(arr, delta, s)
+            if verify_curve_exact(curve, arr, delta).passed:
+                return curve
         except _RetryScale:
-            s *= 0.5
-            if s < _SCALE_FLOOR:
-                break
+            pass
+        s *= 0.5
+        if s < _SCALE_FLOOR:
+            break
     raise BandsOverlap(
         f"bands still overlap after shrinking scale to {s}")
 
@@ -369,18 +341,13 @@ class VerificationOutcome:
                 "violations": [v.to_json_dict() for v in self.violations]}
 
 
-def verify_zero_separating(cert: SurfaceCertificate, fan_or_arr, delta: float,
-                           tol: float = 1e-9) -> VerificationOutcome:
+def verify_zero_separating(cert: SurfaceCertificate, arr: Arrangement,
+                           delta: float, tol: float = 1e-9) -> VerificationOutcome:
     """Per-sample invariance test: every inclusion-cone generator g at
-    log x must satisfy g . nu >= -tol.  Works in any dimension; the cone
-    source may be an Arrangement or an iterable of fan cone generators."""
+    log x must satisfy g . nu >= -tol.  Works in any dimension."""
     violations = []
     for i, (x, nu) in enumerate(cert.samples):
-        logx = np.log(np.array(x))
-        if isinstance(fan_or_arr, Arrangement):
-            gens = inclusion_cone(fan_or_arr, delta, logx)
-        else:
-            gens = fan_inclusion_cone(fan_or_arr, delta, logx)
+        gens = inclusion_cone(arr, delta, np.log(np.array(x)))
         nu_arr = np.array(nu)
         for g in gens:
             d = float(g @ nu_arr)
@@ -388,6 +355,29 @@ def verify_zero_separating(cert: SurfaceCertificate, fan_or_arr, delta: float,
                 violations.append(Violation(i, tuple(x), tuple(nu),
                                             tuple(float(c) for c in g), d))
     return VerificationOutcome(not violations, tuple(violations))
+
+
+def verify_curve_exact(curve: PolygonalCurve2D, arr: Arrangement, delta: float,
+                       tol: float = 1e-9) -> VerificationOutcome:
+    """``verify_zero_separating`` at every point of the curve.  The cone at
+    a point is the union over hyperplanes of its side's generators (-n on
+    the + side, n on the - side, both in the band), so a segment passes iff
+    every side it visits passes.  Along a + t u, n . log x has at most one
+    critical point t*, so its extremes over [0, 1] lie at 0, 1 and t*.
+    These points visit every side the segment does, but for a band crossed
+    from one side to the other, whose generators are those two sides'.
+    Violations index these points, segment by segment."""
+    normals = arr.normal_matrix().reshape(-1, 2)
+    samples = []
+    for seg in curve.segments:
+        a, u = np.array(seg.start), np.subtract(seg.end, seg.start)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crit = -(normals[:, 0] * u[0] * a[1] + normals[:, 1] * u[1] * a[0]) / (
+                normals.sum(axis=1) * u[0] * u[1])
+        ts = sorted({0.0, 1.0, *(float(t) for t in crit if 0.0 < t < 1.0)})
+        samples += [(tuple(map(float, a + t * u)), seg.normal) for t in ts]
+    return verify_zero_separating(SurfaceCertificate(tuple(samples), 0.0), arr,
+                                  delta, tol)
 
 
 def curve_to_certificate(curve: PolygonalCurve2D,

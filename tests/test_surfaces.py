@@ -31,6 +31,7 @@ from toric_gac.surfaces import (
     curve_to_svg,
     signed_distance_to_curve,
     trajectory_crossing_test,
+    verify_curve_exact,
     verify_zero_separating,
 )
 
@@ -197,9 +198,9 @@ def test_overlapping_bands_raise():
 
 
 def test_later_band_boundaries_stop_the_chain():
-    # a seeded random arrangement on which a crossing that ignored the
-    # boundaries of later bands would run past one and turn the chain back
-    # (ValueError); the builder must give a verified curve or BandsOverlap
+    # a seeded random arrangement on which a crossing runs past a later
+    # band's boundary and turns the chain back (ValueError from the curve
+    # checks); the builder must give a verified curve or BandsOverlap
     arr = Arrangement.from_vectors(np.array([
         [-0.1460409166291835, -0.3565660459813679],
         [-0.3972242751651344, 2.6512562221679703],
@@ -213,6 +214,29 @@ def test_later_band_boundaries_stop_the_chain():
     except BandsOverlap:
         return
     assert verified(curve, arr, delta).passed
+
+
+def test_exact_gate_builds_where_the_clearance_proxies_gave_up():
+    # seeded arrangement #745 of default_rng(11): no chain stays clear of
+    # every foreign band, yet the first chain meets the real condition
+    arr = Arrangement.from_vectors(np.array([
+        [-0.8775889878150436, 0.4794137758406273],
+        [-0.19277817926198643, 0.9812423623144454]]))
+    delta = 0.008865047001659786
+    curve = build_zero_separating_curve_2d(arr, delta)
+    assert curve.scale == 1e-3 and len(curve.segments) == 3
+    assert verify_curve_exact(curve, arr, delta).passed
+
+
+def test_chain_that_turns_back_is_a_retry():
+    # seeded arrangement #1193 of default_rng(11): one tentative chain fails
+    # the monotonicity check, which must end as BandsOverlap, not ValueError
+    arr = Arrangement.from_vectors(np.array([
+        [-0.5036551301563937, 0.8639048037064883],
+        [-0.31459487459743035, 0.9492260346603579],
+        [-0.5351088329969169, 0.8447831300687045]]))
+    with pytest.raises(BandsOverlap):
+        build_zero_separating_curve_2d(arr, 0.8588313859930964)
 
 
 # -- randomized construction suite --------------------------------------
@@ -249,6 +273,7 @@ def test_random_arrangements_build_and_verify():
         curve = build_zero_separating_curve_2d(arr, delta)
         out = verified(curve, arr, delta, spm=7)
         assert out.passed, (arr.normal_matrix(), delta, out.violations[:2])
+        assert verify_curve_exact(curve, arr, delta).passed
         built += 1
     assert built == 60
 
@@ -297,6 +322,57 @@ def test_tolerance_bounds_violation_detection():
     assert verify_zero_separating(bad, TWO, 0.5, tol=2.0).passed
 
 
+def test_exact_check_finds_a_band_between_samples():
+    # n . log x peaks at the segment's midpoint, just inside the band; the
+    # ten midpoint samples all lie on its near side
+    s = math.sqrt(0.5)
+    arr = Arrangement.from_vectors(np.array([[1.0, 1.0]]))
+    curve = PolygonalCurve2D((CurveSegment((0.5, 0.001), (0.001, 0.5), (s, s),
+                                           None),), 1e-3, 1.96)
+    assert verified(curve, arr, 1.96).passed
+    out = verify_curve_exact(curve, arr, 1.96)
+    assert not out.passed
+    (v,) = out.violations
+    assert v.x == pytest.approx((0.2505, 0.2505), rel=1e-12)
+    assert v.dot == pytest.approx(-1.0, rel=1e-12)
+
+
+def random_chain(rng):
+    """Monotone chain of one to three segments with log-uniform vertices
+    and each segment's own outward normal."""
+    k = int(rng.integers(1, 4))
+    x1 = np.sort(np.exp(rng.uniform(-8.0, 1.0, k + 1)))[::-1]
+    x2 = np.sort(np.exp(rng.uniform(-8.0, 1.0, k + 1)))
+    segments = []
+    for i in range(k):
+        a, b = (float(x1[i]), float(x2[i])), (float(x1[i + 1]), float(x2[i + 1]))
+        nu = np.array([b[1] - a[1], a[0] - b[0]])
+        nu /= np.linalg.norm(nu)
+        segments.append(CurveSegment(a, b, (float(nu[0]), float(nu[1])), None))
+    return PolygonalCurve2D(tuple(segments), 1e-3, 0.0)
+
+
+def test_exact_check_is_never_weaker_than_dense_sampling():
+    # oracle: a curve the exact check passes passes 100 samples per
+    # segment, and every exact violation fails on its own sample
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(150):
+        curve = random_chain(rng)
+        angles = rng.uniform(0.0, math.pi, int(rng.integers(1, 3)))
+        arr = Arrangement.from_vectors(np.stack([np.cos(angles),
+                                                 np.sin(angles)], axis=1))
+        delta = float(rng.uniform(0.0, 2.0))
+        exact = verify_curve_exact(curve, arr, delta)
+        if exact.passed:
+            assert verified(curve, arr, delta, spm=100).passed
+        for v in exact.violations:
+            alone = SurfaceCertificate(((v.x, v.nu),), 0.0)
+            assert not verify_zero_separating(alone, arr, delta).passed
+        outcomes.add(exact.passed)
+    assert outcomes == {True, False}
+
+
 def test_one_species_point_certificate():
     # a point with outward direction +1: the inclusion below the point
     # forces dx/dt >= 0
@@ -309,25 +385,6 @@ def test_one_species_point_certificate():
     inside = verify_zero_separating(point(float(math.exp(-0.5))), arr1, 1.0)
     assert not inside.passed
     assert len(inside.violations) == 1
-
-
-def test_fan_source_equality_and_violation():
-    s = 1.0 / math.sqrt(2.0)
-    sample = SurfaceCertificate((((math.e, math.e), (s, s)),), 0.0)
-    # a cone aimed at the origin side admits outward normals: the polar
-    # generators meet nu at worst with equality
-    toward_origin = [np.array([[-1.0, -1.0]])]
-    assert verify_zero_separating(sample, toward_origin, 2.0).passed
-    # the same cone flipped forbids them
-    away = [np.array([[1.0, 1.0]])]
-    out = verify_zero_separating(sample, away, 0.5)
-    assert not out.passed and out.violations[0].dot < -1e-9
-
-
-def test_far_fan_cone_contributes_nothing():
-    fan = [np.array([[1.0, 1.0]])]
-    cert = SurfaceCertificate((((1e-4, 1e-4), (1.0, 0.0)),), 0.0)
-    assert verify_zero_separating(cert, fan, 0.5).passed
 
 
 # -- signed distance -----------------------------------------------------
