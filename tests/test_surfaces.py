@@ -1,10 +1,11 @@
 """Zero-separating curves in two species: construction, certificate
 verification, signed distances, and trajectory crossing tests.
 
-Junction coordinates are placed by bisection and are not frozen here; the
-assertions target structural invariants instead (segment counts, band
-order, monotonicity, axis-corridor endpoints, conservation along band
-segments, and verification outcomes).
+Junction coordinates are placed by bisection and are frozen only by the
+golden digests of the corpus curves; the other assertions target
+structural invariants (segment counts, band order, monotonicity,
+axis-corridor endpoints, conservation along band segments, and
+verification outcomes).
 """
 
 import hashlib
