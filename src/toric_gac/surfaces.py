@@ -280,10 +280,10 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
             # trailing connector through the final sector to the axis
             connector(p, dirs[pos] + np.array([-1.0, 0.0]), k)
 
-    try:
-        return PolygonalCurve2D(tuple(segments), scale, delta)
-    except ValueError:  # a chain that turns back
-        raise _RetryScale from None
+    verts = [segments[0].start] + [seg.end for seg in segments]
+    if any(not (w[0] < v[0] and w[1] > v[1]) for v, w in zip(verts, verts[1:])):
+        raise _RetryScale  # a chain that turns back
+    return PolygonalCurve2D(tuple(segments), scale, delta)
 
 
 def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
@@ -357,8 +357,8 @@ def verify_zero_separating(cert: SurfaceCertificate, arr: Arrangement,
     return VerificationOutcome(not violations, tuple(violations))
 
 
-def verify_curve_exact(curve: PolygonalCurve2D, arr: Arrangement, delta: float,
-                       tol: float = 1e-9) -> VerificationOutcome:
+def verify_curve_exact(curve: PolygonalCurve2D, arr: Arrangement,
+                       delta: float) -> VerificationOutcome:
     """``verify_zero_separating`` at every point of the curve.  The cone at
     a point is the union over hyperplanes of its side's generators (-n on
     the + side, n on the - side, both in the band), so a segment passes iff
@@ -377,7 +377,7 @@ def verify_curve_exact(curve: PolygonalCurve2D, arr: Arrangement, delta: float,
         ts = sorted({0.0, 1.0, *(float(t) for t in crit if 0.0 < t < 1.0)})
         samples += [(tuple(map(float, a + t * u)), seg.normal) for t in ts]
     return verify_zero_separating(SurfaceCertificate(tuple(samples), 0.0), arr,
-                                  delta, tol)
+                                  delta)
 
 
 def curve_to_certificate(curve: PolygonalCurve2D,
