@@ -6,10 +6,11 @@ The field of a network with rates k is  sum_e k_e x^(y_src(e)) (y_tgt(e) -
 y_src(e)), accumulated left-to-right over the edge list so repeated runs
 reproduce bit-identical floating-point results.  The field reads the
 network's ``kinetics`` arrays: each monomial is a product along one row of
-``Ys``, and the unbuffered ``np.add.at`` adds the per-edge terms into a
-zero vector one edge at a time, exactly as a loop over the edges would.
-``np.add.reduce`` over the edge axis would not: on a one-species network
-with eight or more edges it sums pairwise and changes the last bits.
+``Ys``, and ``np.add.accumulate`` sums the per-edge terms one edge at a
+time, as a loop adding them into a zero vector would; adding 0.0 to the sum
+then turns -0.0 into +0.0, as that zero vector does.  ``np.add.reduce``
+would not do: on a one-species network with eight or more edges it sums
+pairwise and changes the last bits.
 
 Shapes.  A state is an (n,) vector and a batch is a (B, n) array; the field
 of a batch takes one shared (E,) rate vector or one (B, E) row of rates per
@@ -28,25 +29,24 @@ Steps that would leave the open positive orthant are halved, never
 clamped.  A row fails with :class:`StepSizeUnderflow` when its step falls
 below ``_H_MIN`` or when it has taken ``_MAX_STEPS`` steps without reaching
 the horizon.  ``integrate`` advances every row of a (B, n) start batch
-together; a single start is the B = 1 case.  Rows share the schedule
-breakpoints (``RateSchedule.random`` with one period and horizon gives the
-same ones), so the batch is cut into the same pieces, but each row keeps
-its own time, step size, accept/reject decision, positivity halvings,
-minimum-step and step-budget checks, and conserved residual.  A row that
-fails stops alone and the other rows run on.  The step-size factor
-``0.9 * err ** -0.2`` is computed per row with Python floats: numpy's
-vectorised power differs from the scalar one in the last bit for some
-arguments (about 5% of them with AVX-512 kernels), and a factor that
-depended on the batch layout would make a row differ from its B = 1 run.
-Validation happens once: ``integrate`` checks the horizon, starts and
-schedules, each piece its rates (out of band fails the row, non-positive
-raises ``ValueError``); the inner loop checks nothing, as accepted states
-are positive and no stage argument outside the orthant reaches the field.
+together; a single start is the B = 1 case.  Each row runs the schedule's
+pieces on its own clock: it enters its next piece as soon as it ends the
+last one, so a batch takes as many steps as its slowest row.  A row keeps
+its own piece, rates, time, step size, accept/reject decision, positivity
+halvings, minimum-step and step-budget checks, and conserved residual; a
+row that fails stops alone.  The step-size factor ``0.9 * err ** -0.2`` is
+computed per row with Python floats: numpy's vectorised power differs from
+the scalar one in the last bit for some arguments (about 5% of them with
+AVX-512 kernels), so a factor that depended on the batch layout would make
+a row differ from its B = 1 run.  ``integrate`` checks the horizon, starts
+and schedules, and a row entering a piece its rates (out of band fails the
+row, non-positive raises ``ValueError``); the inner loop checks nothing, as
+accepted states are positive and no stage argument outside the orthant
+reaches the field.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -188,15 +188,10 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
 
 def _field(kin, k, X) -> np.ndarray:
     """The field at each row of the (B, n) batch ``X``, unchecked."""
+    if not kin.D.size:
+        return np.zeros(X.shape)
     terms = kin.flows(k, X)[:, :, None] * kin.D
-    out = np.zeros(X.shape)
-    np.add.at(out, _row_index(*terms.shape[:2]), terms.reshape(-1, X.shape[1]))
-    return out
-
-
-@functools.lru_cache(maxsize=256)
-def _row_index(rows: int, edges: int) -> np.ndarray:
-    return np.arange(rows).repeat(edges)  # the batch row of each edge term
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0  # +0.0: no -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +238,18 @@ def _rkf_step(kin, rates, x, h):
     whose stage argument or x4 leaves the orthant (later stages then take
     ``x``).  Each sum adds its terms in tableau order, as a term-by-term
     sum would."""
-    acc = np.zeros((7, *x.shape))
-    arg, left = x, np.zeros(len(x), dtype=bool)
+    acc, arg, left = np.zeros((7, *x.shape)), x, None
     for j, uses in enumerate(_USES):
         acc[j:] += uses * _field(kin, rates, arg)
         arg = x + h * acc[j]  # the next stage's argument, then x4
         out = arg <= 0.0
         if np.count_nonzero(out):
-            left |= out.any(axis=1)
+            rows = out.any(axis=1)
+            left = rows if left is None else left | rows
             arg = np.where(left[:, None], x, arg)
     x5 = x + h * acc[6]
-    arg[left] = x5[left] = np.nan
+    if left is not None:  # skips two masked writes on most steps
+        arg[left] = x5[left] = np.nan
     return arg, x5
 
 
@@ -313,62 +309,69 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
     return rows[0]
 
 
+def _pieces(sched: RateSchedule, t_end: float):
+    """The pieces of [0, t_end] cut at the schedule's breakpoints that are
+    longer than their edge, as (start, end, edge, first step, rates).  Each
+    piece looks its rates up (out of band raises :class:`RateOutOfBand`),
+    and one to be integrated needs them positive."""
+    cuts = [0.0, *sched.breakpoints_within(0.0, t_end), t_end]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        k, edge = sched.rates_at(t0), 1e-12 * max(1.0, abs(t1))
+        if t1 - t0 > edge:
+            if (k <= 0.0).any():
+                raise ValueError("rates must be strictly positive")
+            yield t0, t1, edge, (t1 - t0) / 64, k
+
+
 def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     """Each row's Trajectory, or the exception that stopped that row."""
     kin, B = net.kinetics, len(starts)
-    if B == 0:
-        return []
     failed: list[Exception | None] = [None] * B
-    x, steps = starts.copy(), np.zeros(B, dtype=np.int64)
     log = [(np.arange(B), np.zeros(B), starts)]  # accepted (rows, t, x) blocks
-    rates = np.empty((B, len(kin.k)))
-    cuts = [0.0, *schedules[0].breakpoints_within(0.0, t_end), t_end]
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        for r in range(B):
+    pieces = [_pieces(sched, t_end) for sched in schedules]
+    # running rows: ids, states, times, piece ends and edges, step sizes,
+    # rates and step counts; each row enters its first piece at once
+    w, xw, done = np.arange(B), starts, np.ones(B, dtype=bool)
+    tw, t1w, ew, hw = np.zeros((4, B))
+    kw, nw = np.empty((B, len(kin.k))), np.zeros(B, dtype=np.int64)
+    while True:
+        for i in done.nonzero()[0]:  # enter the next piece, or finish
             try:
-                if failed[r] is None:
-                    rates[r] = schedules[r].rates_at(t0)
+                piece = next(pieces[w[i]], None)
             except RateOutOfBand as exc:
-                failed[r] = exc
-        edge = 1e-12 * max(1.0, abs(t1))
-        # rows in this piece: ids, states, times, step sizes, rates, counts
-        w = np.flatnonzero([f is None and t1 - t0 > edge for f in failed])
-        if (rates[w] <= 0.0).any():
-            raise ValueError("rates must be strictly positive")
-        xw, tw, hw = x[w], np.full(w.size, t0), np.full(w.size, (t1 - t0) / 64)
-        kw, nw = rates[w], steps[w]
-        while w.size:
-            rest = t1 - tw
-            last = hw >= rest
-            hs = np.where(last, rest, hw)
-            over = nw > _MAX_STEPS
-            stop = over | (hs < _H_MIN)
-            if np.count_nonzero(stop):
-                for i in np.flatnonzero(stop):
-                    failed[w[i]] = StepSizeUnderflow(
-                        "step budget exhausted" if over[i] else
-                        f"step {float(hs[i])} below minimum at t={float(tw[i])}")
-                w, xw, tw, hw, kw, nw, last, hs = (a[~stop] for a in (
-                    w, xw, tw, hw, kw, nw, last, hs))
-            nw += 1
-            x4, x5 = _rkf_step(kin, kw, xw, hs[:, None])
-            good = (x4 > 0.0).all(axis=1)  # the step stayed in the orthant
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(xw), np.abs(x4))
-            err = (np.abs(x5 - x4) / scale).max(axis=1)
-            # Python floats: numpy's vector power rounds differently
-            hw = hs * np.array([
-                0.5 if not g else max(0.2, 0.9 * e ** -0.2) if e > 1.0
-                else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
-                for e, g in zip(err.tolist(), good.tolist())])
-            ok = good & ~(err > 1.0)
-            tw = np.where(ok, np.where(last, t1, tw + hs), tw)
-            xw = np.where(ok[:, None], x4, xw)
-            log.append((w[ok], tw[ok], xw[ok]))
-            done = ~(t1 - tw > edge)
-            if np.count_nonzero(done):
-                x[w[done]], steps[w[done]] = xw[done], nw[done]
-                w, xw, tw, hw, kw, nw = (a[~done] for a in (
-                    w, xw, tw, hw, kw, nw))
+                failed[w[i]], piece = exc, None
+            if piece is not None:
+                tw[i], t1w[i], ew[i], hw[i], kw[i] = piece
+                done[i] = False
+        rest = t1w - tw
+        last = hw >= rest
+        hs = np.where(last, rest, hw)
+        over = nw > _MAX_STEPS
+        stop = ~done & (over | (hs < _H_MIN))
+        for i in stop.nonzero()[0]:
+            failed[w[i]] = StepSizeUnderflow(
+                "step budget exhausted" if over[i] else
+                f"step {float(hs[i])} below minimum at t={float(tw[i])}")
+        if np.count_nonzero(gone := done | stop):
+            w, xw, tw, t1w, ew, hw, kw, nw, last, hs = (a[~gone] for a in (
+                w, xw, tw, t1w, ew, hw, kw, nw, last, hs))
+        if not w.size:
+            break
+        nw += 1
+        x4, x5 = _rkf_step(kin, kw, xw, hs[:, None])
+        good = (x4 > 0.0).all(axis=1)  # the step stayed in the orthant
+        scale = opts.atol + opts.rtol * np.maximum(xw, x4)  # both > 0 or NaN
+        err = (np.abs(x5 - x4) / scale).max(axis=1)
+        # Python floats: numpy's vector power rounds differently
+        hw = hs * np.array([
+            0.5 if not g else max(0.2, 0.9 * e ** -0.2) if e > 1.0
+            else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
+            for e, g in zip(err.tolist(), good.tolist())])
+        ok = good & ~(err > 1.0)
+        tw = np.where(ok, np.where(last, t1w, tw + hs), tw)
+        xw = np.where(ok[:, None], x4, xw)
+        log.append((w[ok], tw[ok], xw[ok]))
+        done = ~(t1w - tw > ew)
 
     rows, ts, xs = (np.concatenate(c) for c in zip(*log))
     order = np.argsort(rows, kind="stable")

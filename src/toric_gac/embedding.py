@@ -25,7 +25,7 @@ a failure replays through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -132,14 +132,7 @@ class FailureWitness:
     witness: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "x": list(self.x),
-            "log_x": list(self.log_x),
-            "rates": list(self.rates),
-            "residual": self.residual,
-            "witness": list(self.witness),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ configuration and network-level failures propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,19 +100,7 @@ class TrajectoryRecord:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial": list(self.initial),
-            "birch": None if self.birch is None else list(self.birch),
-            "final": None if self.final is None else list(self.final),
-            "final_distance": self.final_distance,
-            "max_lyapunov_increase": self.max_lyapunov_increase,
-            "persistence_min": self.persistence_min,
-            "floor": self.floor,
-            "converged": self.converged,
-            "persistent": self.persistent,
-            "lyapunov_monotone": self.lyapunov_monotone,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ view, ``ReactionNetwork.kinetics``, built on first access and then cached.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ class NonpositiveRateError(NetworkParseError):
 
 class DuplicateSpeciesError(NetworkParseError):
     pass
+
+
+class NonFiniteValueError(NetworkParseError):
+    """A rate, coefficient or coordinate too large for a float."""
 
 
 class NotWeaklyReversible(ValueError):
@@ -92,7 +97,7 @@ class _Kinetics:
     def flows(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Per-edge mass-action flux k_e x^(y_src(e)): shape (E,) for one
         state, (B, E) for a (B, n) batch."""
-        return k * (x[..., None, :] ** self.Ys).prod(axis=-1)
+        return k * np.multiply.reduce(x[..., None, :] ** self.Ys, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,13 @@ class _LineScanner:
     def error(self, message: str, cls=NetworkParseError):
         raise cls(message, self.lineno, self.column)
 
+    def value(self, tok: str) -> float:
+        """The number token just read, which must fit a float."""
+        if math.isinf(val := float(tok)):
+            raise NonFiniteValueError(f"value {tok} overflows a float",
+                                      self.lineno, self.pos - len(tok) + 1)
+        return val
+
     def try_literal(self, lit: str) -> bool:
         self.skip_ws()
         if self.text.startswith(lit, self.pos):
@@ -232,7 +244,7 @@ def _parse_side(sc: _LineScanner, species_index: dict[str, int]) -> tuple[float,
             tok = sc.try_regex(_SIGNED_RE)
             if tok is None:
                 sc.error("expected a coordinate value")
-            coords.append(float(tok))
+            coords.append(sc.value(tok))
             if sc.try_literal(","):
                 continue
             sc.expect_literal(")", "',' or ')'")
@@ -250,7 +262,8 @@ def _parse_side(sc: _LineScanner, species_index: dict[str, int]) -> tuple[float,
         sc.skip_ws()
         term_col = sc.column
         num = sc.try_regex(_UNSIGNED_RE)
-        if num is not None and first and float(num) == 0.0 and sc.at_end_of_side():
+        coef = None if num is None else sc.value(num)
+        if coef == 0.0 and first and sc.at_end_of_side():
             return tuple(y)  # bare zero complex
         name = None
         if num is not None:
@@ -272,7 +285,7 @@ def _parse_side(sc: _LineScanner, species_index: dict[str, int]) -> tuple[float,
                 f"species '{name}' appears twice in one complex",
                 sc.lineno, term_col)
         used.add(idx)
-        y[idx] = float(num) if num is not None else 1.0
+        y[idx] = coef if coef is not None else 1.0
         first = False
         if not sc.try_literal("+"):
             return tuple(y)
@@ -290,7 +303,7 @@ def _parse_rate(sc: _LineScanner, key: str) -> float:
     tok = sc.try_regex(_SIGNED_RE)
     if tok is None:
         sc.error(f"expected a numeric value for '{key}'")
-    val = float(tok)
+    val = sc.value(tok)
     if not val > 0.0:
         raise NonpositiveRateError(f"rate '{key}' must be positive, got {tok}",
                                    sc.lineno, val_col)
@@ -301,8 +314,8 @@ def parse_network(text: str) -> ReactionNetwork:
     """Parse the text format described in the module docstring.
 
     Raises :class:`NetworkParseError` (or a subclass) with 1-based line and
-    column on malformed input, unknown species, nonpositive rates, or
-    duplicated species declarations.
+    column on malformed input, unknown species, nonpositive rates, numbers
+    that overflow a float, or duplicated species declarations.
     """
     species: list[str] = []
     species_index: dict[str, int] = {}

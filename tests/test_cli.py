@@ -116,6 +116,16 @@ def test_malformed_network_is_input_error(tmp_path, capsys):
     assert code == 2 and "input error" in err
 
 
+def test_rate_that_overflows_a_float_is_input_error(tmp_path, capsys):
+    # equilibrium once died here with an OverflowError traceback
+    p = tmp_path / "huge.crn"
+    p.write_text("species A B\nA <-> B ; kf=1e400 kr=1\n")
+    code, out, err = run(capsys, "equilibrium", str(p))
+    assert code == 2 and out == ""
+    assert err == ("input error: line 2, column 14: "
+                   "value 1e400 overflows a float\n")
+
+
 # -- analyze --------------------------------------------------------------
 
 

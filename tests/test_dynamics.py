@@ -74,6 +74,23 @@ def test_field_input_validation():
         mass_action_field(net, [1.0, 0.0], np.array([1.0, 1.0]))
 
 
+def test_field_without_reactions_is_zero():
+    net = parse_network("species A B\n")
+    assert len(net.reactions) == 0
+    got = mass_action_field(net, None, np.ones((3, 2)))
+    assert got.shape == (3, 2) and not got.any()
+    assert np.array_equal(mass_action_field(net, None, np.ones(2)), [0.0, 0.0])
+
+
+def test_underflowed_flux_gives_positive_zero():
+    # k x underflows to +0.0 and its term (+0.0) * (-1) is -0.0; the field,
+    # like a sum into zeros, must read +0.0 (reports print -0.0 otherwise)
+    net = parse_network("species A\nA -> 0 ; k=1e-10\n")
+    for x in (np.array([5e-324]), np.array([[5e-324], [5e-324]])):
+        got = mass_action_field(net, None, x)
+        assert not got.any() and not np.signbit(got).any()
+
+
 def per_edge_field(net, rates, x):
     """Oracle: the field as a Python loop over the edges, accumulated
     left-to-right into a zero vector."""
@@ -321,7 +338,7 @@ def single_runs(net, schedules, starts, t_end, opts=None):
     for sched, x0 in zip(schedules, starts):
         try:
             out.append(integrate(net, sched, x0, t_end, opts))
-        except StepSizeUnderflow as exc:
+        except (StepSizeUnderflow, RateOutOfBand) as exc:
             out.append(exc)
     return out
 
@@ -466,6 +483,85 @@ def test_drifting_batches_match_golden_digests(seed, name):
         digests[1].update(traj.states.tobytes())
         digests[2].update(struct.pack("<d", traj.conserved_residual))
     assert tuple(d.hexdigest() for d in digests) == GOLDEN_DIGESTS[name]
+
+
+DRIFT = IntegratorOptions(rtol=1e-6, atol=1e-9)
+
+
+def drifting_batch(seed):
+    """Four rows of ``rev_triangle_skew`` from seeded starts under seeded
+    eight-piece schedules in the band [0.1, 10] up to t = 50."""
+    net = load("rev_triangle_skew")
+    rng = np.random.default_rng(seed)
+    starts = np.exp(rng.uniform(-2.0, 3.0, size=(4, 2)))
+    schedules = [RateSchedule.random(len(net.reactions), RateBand(0.1),
+                                     50.0 / 8, 50.0, rng) for _ in range(4)]
+    return net, schedules, starts
+
+
+class StepLog:
+    """Counts calls of the Fehlberg step and records each time a row asks
+    for its next piece as (schedule, steps so far)."""
+
+    def __init__(self, monkeypatch):
+        self.steps, self.entries = 0, []
+        step, pieces = dynamics._rkf_step, dynamics._pieces
+
+        def counted(*args):
+            self.steps += 1
+            return step(*args)
+
+        def recorded(sched, t_end):
+            inner = pieces(sched, t_end)
+            while True:
+                self.entries.append((sched, self.steps))
+                piece = next(inner, None)
+                if piece is None:
+                    return
+                yield piece
+
+        monkeypatch.setattr(dynamics, "_rkf_step", counted)
+        monkeypatch.setattr(dynamics, "_pieces", recorded)
+
+
+def test_batch_steps_as_often_as_its_slowest_row(monkeypatch):
+    # rows run each piece on their own clock, so a batch takes as many
+    # steps as its slowest row alone, not the sum of per-piece maxima
+    net, schedules, starts = drifting_batch(51)
+    per_piece = []  # B = 1 step counts: a row per start, a column per piece
+    for sched, x0 in zip(schedules, starts):
+        log = StepLog(monkeypatch)
+        integrate(net, sched, x0, 50.0, DRIFT)
+        per_piece.append(np.diff([steps for _, steps in log.entries]))
+    per_piece = np.array(per_piece)
+    assert per_piece.shape == (4, 8)
+    log = StepLog(monkeypatch)
+    integrate(net, schedules, starts, 50.0, DRIFT)
+    assert log.steps == per_piece.sum(axis=1).max()
+    assert log.steps < per_piece.max(axis=0).sum()
+
+
+def test_band_failure_in_a_later_piece_stops_only_its_row(monkeypatch):
+    net, schedules, starts = drifting_batch(51)
+    bad = schedules[2]
+    values = bad.values.copy()
+    values[5, 0] = 2.0 * bad.band.hi  # piece 5 leaves the band
+    schedules[2] = RateSchedule(bad.times, values, bad.band)
+    singles = single_runs(net, schedules, starts, 50.0, DRIFT)
+    assert isinstance(singles[2], RateOutOfBand)
+    assert all(isinstance(t, Trajectory) for t in singles[:2] + singles[3:])
+    log = StepLog(monkeypatch)
+    assert_same_rows(integrate(net, schedules, starts, 50.0, DRIFT), singles)
+    # row 2 failed on entering piece 5 while no other row had entered it
+    asked = [sched for sched, _ in log.entries]
+    fail = [i for i, sched in enumerate(asked) if sched is schedules[2]][5]
+    assert fail < len(asked) - 1
+    assert all(asked[:fail].count(sched) <= 5 for sched in schedules)
+    # unbanded, a zero rate in a later piece of one row stops the whole call
+    unbanded = [RateSchedule(s.times, s.values.copy()) for s in schedules]
+    unbanded[1].values[6, 0] = 0.0
+    with pytest.raises(ValueError, match="strictly positive"):
+        integrate(net, unbanded, starts, 50.0, DRIFT)
 
 
 def test_failing_rows_leave_the_other_rows_unchanged():

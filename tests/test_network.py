@@ -20,6 +20,7 @@ from toric_gac.network import (
     CycleCover,
     DuplicateSpeciesError,
     NetworkParseError,
+    NonFiniteValueError,
     NonpositiveRateError,
     NotWeaklyReversible,
     Reaction,
@@ -141,6 +142,21 @@ def test_parse_nonpositive_rate():
         parse_network("species A B\nA -> B ; k=-1\n")
     with pytest.raises(NonpositiveRateError):
         parse_network("species A B\nA <-> B ; kf=1 kr=0\n")
+
+
+@pytest.mark.parametrize("text, column", [
+    ("species A B\nA -> B ; k=1e400\n", 12),
+    ("species A B\nA <-> B ; kf=1 kr=-1e400\n", 19),
+    ("species A B\n1e400 A -> B ; k=1\n", 1),
+    ("species A B\nA -> 2 A + 1E999 B ; k=1\n", 12),
+    ("species A B\ncomplex (1, 2e308) -> B ; k=1\n", 13),
+])
+def test_parse_value_that_overflows_a_float(text, column):
+    # float() reads these as +-inf; each is a typed error at its token
+    with pytest.raises(NonFiniteValueError) as err:
+        parse_network(text)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert isinstance(err.value, NetworkParseError)
 
 
 def test_parse_duplicate_species():
