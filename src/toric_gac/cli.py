@@ -7,11 +7,11 @@ them to files (plus CSV/SVG where applicable).  Exit codes: 0 pass,
 1 assertion failure, 2 usage or parse error.
 
 Each subcommand imports only the layers it runs, inside its function, so a
-process compiles no module it does not use: ``analyze`` loads ``network``
-and ``jsonio`` alone, ``embed-verify`` adds ``dynamics``, ``geometry`` and
-``embedding``, and ``persist``/``gac`` add ``dynamics``, ``equilibria`` and
-``experiments``.  ``cli_dispatch`` maps the error classes of the layers
-that were loaded.
+process compiles no module it does not use: ``analyze`` (like ``--help``
+and a usage or parse error) loads ``network`` and ``jsonio`` and no numpy,
+``embed-verify`` adds ``dynamics``, ``geometry`` and ``embedding``, and
+``persist``/``gac`` add ``dynamics``, ``equilibria`` and ``experiments``.
+``cli_dispatch`` maps the error classes of the layers that were loaded.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import argparse
 import math
 import os
 import sys
-
-import numpy as np
 
 from .jsonio import csv_text, report_json, write_text
 from .network import NetworkParseError, NotWeaklyReversible, parse_network
@@ -40,9 +38,9 @@ def _emit(args, payload: dict, filename: str) -> str:
     return text
 
 
-def _parse_x0(raw: str | None, n: int) -> np.ndarray:
+def _parse_x0(raw: str | None, n: int) -> list[float]:
     if raw is None:
-        return np.ones(n)
+        return [1.0] * n
     try:
         vals = [float(v) for v in raw.split(",")]
     except ValueError as exc:
@@ -51,7 +49,7 @@ def _parse_x0(raw: str | None, n: int) -> np.ndarray:
         raise UsageError(f"--x0 needs {n} components, got {len(vals)}")
     if not all(0.0 < v < math.inf for v in vals):
         raise UsageError("--x0 components must be positive and finite")
-    return np.array(vals)
+    return vals
 
 
 class UsageError(Exception):
@@ -85,16 +83,15 @@ _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 def cmd_analyze(args) -> int:
     from .network import (deficiency, is_reversible, is_weakly_reversible,
-                          linkage_classes, stoichiometric_subspace)
+                          linkage_classes, stoichiometric_rank)
 
     net = _load(args.network)
-    _, s = stoichiometric_subspace(net)
     payload = {
         "weakly_reversible": is_weakly_reversible(net),
         "reversible": is_reversible(net),
         "linkage_classes": linkage_classes(net),
         "deficiency": deficiency(net),
-        "s": s,
+        "s": stoichiometric_rank(net),
     }
     _emit(args, payload, "analyze.json")
     return 0

@@ -186,11 +186,16 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
     return out if x.ndim == 2 else out[0]
 
 
+def flows(kin, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-edge flux k_e x^(y_src(e)): (E,) for a state, (B, E) for a batch."""
+    return k * np.multiply.reduce(x[..., None, :] ** kin.Ys, axis=-1)
+
+
 def _field(kin, k, X) -> np.ndarray:
     """The field at each row of the (B, n) batch ``X``, unchecked."""
     if not kin.D.size:
         return np.zeros(X.shape)
-    terms = kin.flows(k, X)[:, :, None] * kin.D
+    terms = flows(kin, k, X)[:, :, None] * kin.D
     return np.add.accumulate(terms, axis=1)[:, -1] + 0.0  # +0.0: no -0.0
 
 
@@ -268,11 +273,8 @@ def _row_schedules(net: ReactionNetwork, rates_or_schedule,
         if not isinstance(given, RateSchedule):
             given = RateSchedule.constant(_edge_rates(net, given))
         schedules = [given] * rows
-    for sched in schedules:
-        if sched.n_edges != len(net.reactions):
-            raise DimensionMismatch("schedule width does not match edge count")
-        if not np.array_equal(sched.times, schedules[0].times):
-            raise ValueError("batched schedules must share their breakpoints")
+    if any(sched.n_edges != len(net.reactions) for sched in schedules):
+        raise DimensionMismatch("schedule width does not match edge count")
     return schedules
 
 
@@ -286,9 +288,9 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
     cannot be maintained above the minimum step.
 
     A (B, n) ``x0`` integrates B trajectories at once, under one shared
-    rate vector or schedule or under a sequence of B schedules with common
-    breakpoints, and returns a list with one entry per row: its
-    :class:`Trajectory`, or the exception that stopped that row alone.
+    rate vector or schedule or under a sequence of B schedules (each row is
+    cut at its own breakpoints), and returns a list with one entry per row:
+    its :class:`Trajectory`, or the exception that stopped that row alone.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -329,11 +331,11 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     failed: list[Exception | None] = [None] * B
     log = [(np.arange(B), np.zeros(B), starts)]  # accepted (rows, t, x) blocks
     pieces = [_pieces(sched, t_end) for sched in schedules]
-    # running rows: ids, states, times, piece ends and edges, step sizes,
-    # rates and step counts; each row enters its first piece at once
+    # running rows: ids, states, times, piece ends and edges, step sizes and
+    # rates; all enter a piece at once, so each has taken ``steps`` steps
     w, xw, done = np.arange(B), starts, np.ones(B, dtype=bool)
     tw, t1w, ew, hw = np.zeros((4, B))
-    kw, nw = np.empty((B, len(kin.k))), np.zeros(B, dtype=np.int64)
+    kw, steps = np.empty((B, len(kin.k))), 0
     while True:
         for i in done.nonzero()[0]:  # enter the next piece, or finish
             try:
@@ -346,18 +348,18 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
         rest = t1w - tw
         last = hw >= rest
         hs = np.where(last, rest, hw)
-        over = nw > _MAX_STEPS
+        over = steps > _MAX_STEPS
         stop = ~done & (over | (hs < _H_MIN))
         for i in stop.nonzero()[0]:
             failed[w[i]] = StepSizeUnderflow(
-                "step budget exhausted" if over[i] else
+                "step budget exhausted" if over else
                 f"step {float(hs[i])} below minimum at t={float(tw[i])}")
         if np.count_nonzero(gone := done | stop):
-            w, xw, tw, t1w, ew, hw, kw, nw, last, hs = (a[~gone] for a in (
-                w, xw, tw, t1w, ew, hw, kw, nw, last, hs))
+            w, xw, tw, t1w, ew, hw, kw, last, hs = (a[~gone] for a in (
+                w, xw, tw, t1w, ew, hw, kw, last, hs))
         if not w.size:
             break
-        nw += 1
+        steps += 1
         x4, x5 = _rkf_step(kin, kw, xw, hs[:, None])
         good = (x4 > 0.0).all(axis=1)  # the step stayed in the orthant
         scale = opts.atol + opts.rtol * np.maximum(xw, x4)  # both > 0 or NaN

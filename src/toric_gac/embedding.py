@@ -36,6 +36,7 @@ from .geometry import (
     cell_cone,
     cone_membership,
     inclusion_cone,
+    norm,
     polar_cone,
 )
 from .network import (
@@ -57,10 +58,10 @@ def delta_for_edge(epsilon: float, y, yp) -> float:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     diff = np.asarray(yp, dtype=float) - np.asarray(y, dtype=float)
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
+    length = float(norm(diff))
+    if length == 0.0:
         raise CoincidentVertices("edge endpoints coincide")
-    return 2.0 * abs(math.log(epsilon)) / norm
+    return 2.0 * abs(math.log(epsilon)) / length
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +248,7 @@ def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
     shift = log_mono.max(axis=1, initial=0.0)
     mono = np.exp(log_mono - shift[:, None])
     bound = tol * np.maximum(np.exp(-shift), band.hi * (
-        mono @ np.linalg.norm(kin.D, axis=1)))
+        mono @ norm(kin.D, axis=1)))
     cells, cell_of = _cells(signs)
     cell_of = cell_of.ravel()
     polars = _polar_generators(cert.arrangement, cells, n)

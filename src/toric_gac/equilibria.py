@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DimensionMismatch, _edge_rates, mass_action_field
+from .dynamics import DimensionMismatch, _edge_rates, flows, mass_action_field
 from .network import (
     NotWeaklyReversible,
     ReactionNetwork,
@@ -85,7 +85,7 @@ def vertex_balance_residual(net: ReactionNetwork, rates, x0) -> np.ndarray:
     if np.any(x0 <= 0.0):
         raise ValueError("state must be strictly positive")
     kin = net.kinetics
-    flow = kin.flows(_edge_rates(net, rates), x0)
+    flow = flows(kin, _edge_rates(net, rates), x0)
     out = np.zeros(net.m)
     np.add.at(out, np.column_stack([kin.target, kin.source]).ravel(),
               np.column_stack([flow, -flow]).ravel())

@@ -28,6 +28,15 @@ class DimensionTooLarge(ValueError):
     """Polar-cone generator computation is restricted to dimension <= 6."""
 
 
+def norm(v, axis=None):
+    """``np.linalg.norm(v, axis=axis)``, but with max |entry| out of (1e-150,
+    1e150) each vector is first divided by its own: no inf, no false 0."""
+    if 1e-150 < max(map(abs, v.ravel().tolist()), default=1.0) < 1e150:
+        return np.linalg.norm(v, axis=axis)
+    big = np.abs(v).max(axis=-1, keepdims=True, initial=5e-324)  # no 0 / 0
+    return big[..., 0] * np.linalg.norm(v / big, axis=-1)
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Linear hyperplane {x : normal . x = 0}, |normal| = 1."""
@@ -44,7 +53,7 @@ class Hyperplane:
         """Normalize and canonicalize the sign (first nonzero coordinate
         positive)."""
         v = np.asarray(vec, dtype=float)
-        nrm = np.linalg.norm(v)
+        nrm = norm(v)
         if nrm == 0.0:
             raise ValueError("zero vector does not define a hyperplane")
         v = v / nrm

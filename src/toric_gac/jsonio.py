@@ -14,39 +14,22 @@ import io
 import json
 import os
 
-import numpy as np
-
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays and tuples to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def report_json(payload: dict) -> str:
-    """Serialize a report dict with the schema marker first."""
-    body = {"schema": SCHEMA_VERSION}
-    body.update(_plain(payload))
-    return json.dumps(body, indent=2, allow_nan=False) + "\n"
+    """Serialize a report dict, schema marker first, numpy values by tolist."""
+    body = {"schema": SCHEMA_VERSION, **payload}
+    return json.dumps(body, indent=2, allow_nan=False,
+                      default=lambda v: v.tolist()) + "\n"
 
 
 def _cell(value) -> str:
+    if hasattr(value, "tolist"):  # a numpy scalar
+        value = value.tolist()
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"

@@ -15,8 +15,9 @@ Text format::
 
 ``#`` starts a comment.  ``<->`` expands to two edges (forward first).
 Complexes are deduplicated by exact vector equality.  Field, balance and
-stoichiometry code reads a network's edge data from one read-only array
-view, ``ReactionNetwork.kinetics``, built on first access and then cached.
+stoichiometry code reads a network's edge data from one cached array view,
+``ReactionNetwork.kinetics``, whose first access imports numpy; parsing, the
+graph routines and the exact stoichiometric rank run without numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 
 class NetworkParseError(ValueError):
@@ -94,11 +93,6 @@ class _Kinetics:
     D: np.ndarray       # (E, n) reaction vectors Y[target] - Ys
     k: np.ndarray       # (E,) stored rates
 
-    def flows(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per-edge mass-action flux k_e x^(y_src(e)): shape (E,) for one
-        state, (B, E) for a (B, n) batch."""
-        return k * np.multiply.reduce(x[..., None, :] ** self.Ys, axis=-1)
-
 
 @dataclass(frozen=True)
 class ReactionNetwork:
@@ -135,6 +129,7 @@ class ReactionNetwork:
     @cached_property  # the dataclass has no slots, so the cache can live in __dict__
     def kinetics(self) -> _Kinetics:
         """Edge data as read-only arrays, built on first access."""
+        import numpy as np
         Y = np.array([c.y for c in self.complexes], float).reshape(self.m, self.n)
         source = np.array([r.source for r in self.reactions], dtype=np.intp)
         target = np.array([r.target for r in self.reactions], dtype=np.intp)
@@ -448,22 +443,45 @@ def is_reversible(net: ReactionNetwork) -> bool:
     return all((b, a) in edges for (a, b) in edges)
 
 
+def _decimal(v: float) -> tuple[int, int]:
+    """(d, e) with d * 10**e exactly the decimal that repr(float(v)) spells."""
+    mant, _, exp = repr(float(v)).partition("e")
+    whole, _, frac = mant.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
+
+
+def stoichiometric_rank(net: ReactionNetwork) -> int:
+    """dim span{y_target - y_source}, exact: Bareiss elimination of the
+    decimals the text gave (coordinate reprs) scaled to integers; cached."""
+    if (s := net.__dict__.get("_rank")) is None:
+        dec = [[_decimal(v) for v in c.y] for c in net.complexes]
+        low = min((e for y in dec for _, e in y), default=0)
+        y = [[d * 10 ** (e - low) for d, e in row] for row in dec]
+        rows = [[a - b for a, b in zip(y[r.target], y[r.source])]
+                for r in net.reactions]
+        prev = 1
+        for j in range(net.n):  # each pivot row leaves ``rows``
+            if (p := next((r for r in rows if r[j]), None)) is not None:
+                rows = [[(a * p[j] - b * r[j]) // prev for a, b in zip(r, p)]
+                        for r in rows if r is not p]
+                prev = p[j]
+        s = len(net.reactions) - len(rows)
+        net.__dict__["_rank"] = s  # no slots: cached as ``kinetics`` is
+    return s
+
+
 def stoichiometric_subspace(net: ReactionNetwork) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (n, s) of span{y_target - y_source} and its
-    dimension s.  Empty networks give an (n, 0) basis."""
-    diffs = net.kinetics.D
-    u, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    if sv.size == 0:
-        return np.zeros((net.n, 0)), 0
-    tol = max(diffs.shape) * np.finfo(float).eps * sv[0]
-    s = int(np.sum(sv > tol))
+    """Orthonormal basis (n, s) of span{y_target - y_source}, the first s
+    right singular vectors, with s from :func:`stoichiometric_rank`."""
+    import numpy as np
+    s = stoichiometric_rank(net)
+    vt = np.linalg.svd(net.kinetics.D, full_matrices=False)[2]
     return vt[:s].T.copy(), s
 
 
 def deficiency(net: ReactionNetwork) -> int:
     """m - (number of linkage classes) - dim(stoichiometric subspace)."""
-    _, s = stoichiometric_subspace(net)
-    return net.m - len(linkage_classes(net)) - s
+    return net.m - len(linkage_classes(net)) - stoichiometric_rank(net)
 
 
 def cycle_cover(net: ReactionNetwork) -> CycleCover:

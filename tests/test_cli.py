@@ -30,6 +30,8 @@ TEXTS = {
     "unit_pair": "species A B\nA <-> B ; kf=1 kr=1\n",
     "not_weakly_reversible": "species A B\nA -> B ; k=1\n",
     "pair_7sp": "species A B C D E F G\nA <-> B ; kf=1 kr=1\n",
+    "malformed": "species A B\nA -> ; k=1\n",
+    "huge_exponent": "species A B\n1e300 A <-> B ; kf=1 kr=1\n",
 }
 
 
@@ -68,13 +70,13 @@ sys.exit(code)
 """
 
 
-def run_fresh(*argv):
-    """``cli_dispatch(argv)`` in a new interpreter, which has imported
-    nothing but what the dispatch imports: (exit code, stdout of the
-    dispatch, stderr, names in ``sys.modules`` afterwards)."""
+def run_fresh(*argv, flags=()):
+    """``cli_dispatch(argv)`` in a new interpreter started with ``flags``,
+    which has imported nothing but what the dispatch imports: (exit code,
+    stdout of the dispatch, stderr, names in ``sys.modules`` afterwards)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", FRESH, *argv], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", FRESH, *argv],
+                          env=env, capture_output=True, text=True)
     assert proc.stdout, proc.stderr  # a traceback, not a mapped error
     doc = json.loads(proc.stdout)
     return proc.returncode, doc["out"], proc.stderr, set(doc["modules"])
@@ -254,6 +256,22 @@ def test_subcommand_imports_only_its_layers(net_path, argv, used):
     assert loaded == set(used)
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("analyze", "{rev_pair}"), 0),
+    (("--help",), 0),
+    (("analyze", "{rev_pair}", "--unknown-flag"), 2),
+    (("analyze", "{malformed}"), 2),
+], ids=["analyze", "help", "unknown-flag", "malformed-network"])
+def test_structural_paths_do_not_import_numpy(net_path, argv, expected):
+    # the stoichiometric rank is exact elimination in pure Python,
+    # so nothing before a numeric layer needs numpy
+    argv = [a.format(rev_pair=net_path("rev_pair"),
+                     malformed=net_path("malformed")) for a in argv]
+    code, _, err, modules = run_fresh(*argv)
+    assert code == expected, err
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize("argv,network,expected,line", [
     (("embed-verify",), "not_weakly_reversible", 1,
      "check failed: NotWeaklyReversible: edge 0->1 leaves its strongly "
@@ -272,6 +290,20 @@ def test_errors_map_in_a_fresh_process(net_path, argv, network, expected,
 
 
 # -- curve2d and certify-surface ------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["embed-verify", "curve2d",
+                                     "certify-surface"])
+def test_huge_exponent_runs_with_warnings_as_errors(net_path, command):
+    # the vertex difference (1e300, -1) has a norm that overflows when
+    # squared; it is taken after scaling, and no numpy warning is raised
+    code, out, err, _ = run_fresh(command, net_path("huge_exponent"),
+                                  flags=("-W", "error"))
+    assert (code, err) == (0, "")
+
+    def finite(token):
+        raise AssertionError(f"non-finite {token} in the report")
+    json.loads(out, parse_constant=finite)
 
 
 def test_curve2d_report_and_files(net_path, tmp_path, capsys):

@@ -597,6 +597,20 @@ def test_step_budget_fails_only_its_row(monkeypatch):
     assert_same_rows(integrate(net, None, starts, 10.0), singles)
 
 
+def test_batch_mixes_schedules_with_different_breakpoints():
+    # each row is cut at its own switch times: 29, 8, 7 and 1 pieces
+    net = load("rev_triangle_skew")
+    rng = np.random.default_rng(34)
+    starts = np.exp(rng.uniform(-2.0, 3.0, size=(4, 2)))
+    schedules = [RateSchedule.random(len(net.reactions), RateBand(0.1),
+                                     period, 20.0, rng)
+                 for period in (0.7, 2.5, 3.1, 20.0)]
+    assert len({len(s.times) for s in schedules}) == 4
+    batch = integrate(net, schedules, starts, 20.0, DRIFT)
+    assert all(isinstance(t, Trajectory) for t in batch)
+    assert_same_rows(batch, single_runs(net, schedules, starts, 20.0, DRIFT))
+
+
 def test_batch_input_validation():
     net = load("rev_pair")
     band = RateBand(0.5)
@@ -606,9 +620,6 @@ def test_batch_input_validation():
     one = RateSchedule.random(2, band, 0.5, 1.0, rng)
     with pytest.raises(DimensionMismatch):
         integrate(net, [one], starts, 1.0)  # one schedule per row
-    other = RateSchedule.random(2, band, 0.3, 1.0, rng)
-    with pytest.raises(ValueError, match="share their breakpoints"):
-        integrate(net, [one, other], starts, 1.0)
     with pytest.raises(DimensionMismatch):
         integrate(net, None, np.ones((2, 3)), 1.0)
     with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from toric_gac.network import (
     is_weakly_reversible,
     linkage_classes,
     parse_network,
+    stoichiometric_rank,
     stoichiometric_subspace,
 )
 
@@ -304,6 +305,69 @@ def test_stoichiometric_subspace_orthonormal_and_rank():
         # every difference vector lies in the span
         resid = diffs - (diffs @ basis) @ basis.T
         assert np.max(np.abs(resid)) < 1e-10
+
+
+def svd_rank(net):
+    """Oracle: numpy's SVD rank of the reaction vectors."""
+    ymat = np.array([c.y for c in net.complexes]).reshape(net.m, net.n)
+    diffs = np.array([ymat[r.target] - ymat[r.source] for r in net.reactions])
+    return int(np.linalg.matrix_rank(diffs.reshape(-1, net.n)))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.NETWORK_TEXTS))
+def test_exact_rank_equals_svd_rank_on_the_corpus(name):
+    net = corpus.load(name)
+    assert stoichiometric_rank(net) == svd_rank(net)
+    assert stoichiometric_subspace(net)[1] == stoichiometric_rank(net)
+
+
+@st.composite
+def integer_stoichiometry(draw):
+    """Distinct small-integer complexes whose coordinates may repeat a
+    linear pattern, so that rank-deficient reaction sets are common."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 6))
+    coord = st.integers(-2, 2)
+    vecs = draw(st.lists(st.tuples(*[coord] * n), min_size=m, max_size=m,
+                         unique=True))
+    if n > 1 and draw(st.booleans()):  # last coordinate copies the first
+        vecs = list(dict.fromkeys(v[:-1] + (v[0],) for v in vecs))
+    edges = draw(st.lists(st.tuples(st.integers(0, len(vecs) - 1),
+                                    st.integers(0, len(vecs) - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          min_size=0, max_size=8))
+    cxs = tuple(Complex(i, tuple(map(float, v))) for i, v in enumerate(vecs))
+    species = tuple(f"S{i}" for i in range(n))
+    return ReactionNetwork(species, cxs,
+                           tuple(Reaction(u, v, 1.0) for u, v in edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_stoichiometry())
+def test_exact_rank_equals_svd_rank_on_integer_stoichiometry(net):
+    assert stoichiometric_rank(net) == svd_rank(net)
+
+
+def test_exact_rank_reads_the_decimals_the_text_gave():
+    # the two reaction vectors are both (0.1, 0.2) as decimals, but not as
+    # binary floats: 0.2 - 0.1 and 0.3 - 0.2 differ in the last bit
+    chain = parse_network("""species A B
+        complex (0.1, 0.7) <-> complex (0.2, 0.9) ; kf=1 kr=1
+        complex (0.2, 0.9) <-> complex (0.3, 1.1) ; kf=1 kr=1""")
+    assert stoichiometric_rank(chain) == 1
+    assert deficiency(chain) == 3 - 1 - 1
+    # numpy coordinates, whose repr names their type, read the same
+    numpy_chain = ReactionNetwork(chain.species, tuple(
+        Complex(c.id, tuple(map(np.float64, c.y))) for c in chain.complexes),
+        chain.reactions)
+    assert stoichiometric_rank(numpy_chain) == 1
+    # (1, 0) and (1, 1e-20) are independent, below the SVD's tolerance
+    near = parse_network("""species A B
+        complex (0, 0) -> complex (1, 0) ; k=1
+        complex (0, 0) -> complex (1, 1e-20) ; k=1""")
+    assert stoichiometric_rank(near) == 2
+    assert svd_rank(near) == 1
+    assert stoichiometric_subspace(near)[0].shape == (2, 2)
 
 
 def test_kinetics_view_is_cached_and_read_only():
