@@ -11,7 +11,9 @@ process compiles no module it does not use: ``analyze`` (like ``--help``
 and a usage or parse error) loads ``network`` and ``jsonio`` and no numpy,
 ``embed-verify`` adds ``dynamics``, ``geometry`` and ``embedding``, and
 ``persist``/``gac`` add ``dynamics``, ``equilibria`` and ``experiments``.
-``cli_dispatch`` maps the error classes of the layers that were loaded.
+Every typed error derives from ``network.InputError`` (exit 2) or
+``network.CheckFailed`` (exit 1), so ``cli_dispatch`` catches those two
+bases and names no class of a layer.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 
 from .jsonio import csv_text, report_json, write_text
-from .network import NetworkParseError, NotWeaklyReversible, parse_network
+from .network import CheckFailed, InputError, parse_network
 
 
 def _load(path: str):
@@ -52,7 +54,7 @@ def _parse_x0(raw: str | None, n: int) -> list[float]:
     return vals
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -300,14 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded(names) -> tuple[type, ...]:
-    """The classes among ``(module, class)`` pairs whose module this process
-    has imported: an error class from a module never imported cannot have
-    been raised."""
-    return tuple(getattr(m, cls) for mod, cls in names
-                 if (m := sys.modules.get(f"{__package__}.{mod}")) is not None)
-
-
 def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
@@ -319,15 +313,10 @@ def cli_dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, NetworkParseError,
-            *_loaded((("geometry", "DimensionTooLarge"),))) as exc:
+    except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NotWeaklyReversible,
-            *_loaded((("equilibria", "NoComplexBalance"),
-                      ("equilibria", "SingularSystem"),
-                      ("surfaces", "BandsOverlap"),
-                      ("dynamics", "StepSizeUnderflow")))) as exc:
+    except CheckFailed as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

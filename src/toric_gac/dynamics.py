@@ -52,26 +52,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ReactionNetwork, stoichiometric_subspace
+from .network import (CheckFailed, InputError, ReactionNetwork,
+                      stoichiometric_subspace)
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     pass
 
 
-class RateOutOfBand(ValueError):
+class RateOutOfBand(InputError):
     pass
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(CheckFailed):
     pass
 
 
-class InvalidHorizon(ValueError):
+class InvalidHorizon(InputError):
     pass
 
 
-class EmptyTrajectory(ValueError):
+class EmptyTrajectory(InputError):
     pass
 
 

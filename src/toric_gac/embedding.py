@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .network import (
     CycleCover,
+    InputError,
     NotWeaklyReversible,
     ReactionNetwork,
     cycle_cover,
@@ -48,7 +49,7 @@ from .network import (
 )
 
 
-class CoincidentVertices(ValueError):
+class CoincidentVertices(InputError):
     pass
 
 

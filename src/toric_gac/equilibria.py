@@ -18,6 +18,8 @@ import numpy as np
 
 from .dynamics import DimensionMismatch, _edge_rates, flows, mass_action_field
 from .network import (
+    CheckFailed,
+    InputError,
     NotWeaklyReversible,
     ReactionNetwork,
     is_weakly_reversible,
@@ -29,15 +31,15 @@ _BIRCH_TOL = 1e-10  # reduced-gradient norm at which the Birch Newton stops
 _BIRCH_MAX_ITER = 80
 
 
-class SingularSystem(RuntimeError):
+class SingularSystem(CheckFailed):
     pass
 
 
-class NoComplexBalance(RuntimeError):
+class NoComplexBalance(CheckFailed):
     pass
 
 
-class NewtonDivergence(RuntimeError):
+class NewtonDivergence(CheckFailed):
     pass
 
 
@@ -213,6 +215,8 @@ def solve_complex_balanced(net: ReactionNetwork, rates=None,
         raise SingularSystem("log solve produced non-finite state")
     x0 = np.exp(X)
     k_norm = k / float(np.max(k))
+    if not k_norm.all():
+        raise InputError("rates span more than the float range")
     resid = vertex_balance_residual(net, k_norm, x0)
     if float(np.max(np.abs(resid))) <= tol:
         return EquilibriumReport(tuple(x0), tuple(resid), "tree_solve")

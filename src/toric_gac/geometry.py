@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import InputError
+
 _UNIT_TOL = 1e-12
 _PRUNE_TOL = 1e-10
 
 
-class DimensionTooLarge(ValueError):
+class DimensionTooLarge(InputError):
     """Polar-cone generator computation is restricted to dimension <= 6."""
 
 
@@ -141,14 +143,7 @@ def cone_contains(gens, v, tol: float = 1e-9) -> bool:
 
 def point_to_cone_distance(gens, x) -> float:
     """Euclidean distance from x to cone(gens); |x| for the zero cone."""
-    from scipy.optimize import nnls
-
-    x = np.asarray(x, dtype=float)
-    g = _as_gen_array(gens, x.size)
-    if g.shape[0] == 0:
-        return float(np.linalg.norm(x))
-    _, resid = nnls(g.T, x, maxiter=10 * max(g.shape[0], x.size, 10))
-    return float(resid)
+    return cone_membership(gens, x).residual
 
 
 # ---------------------------------------------------------------------------

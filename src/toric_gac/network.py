@@ -29,7 +29,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class NetworkParseError(ValueError):
+class InputError(ValueError):
+    """Base of every error the input causes: the command line exits 2."""
+
+
+class CheckFailed(RuntimeError):
+    """Base of every error a failed check raises: the command line exits 1."""
+
+
+class NetworkParseError(InputError):
     """Malformed network text; carries 1-based line and column."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -54,7 +62,7 @@ class NonFiniteValueError(NetworkParseError):
     """A rate, coefficient or coordinate too large for a float."""
 
 
-class NotWeaklyReversible(ValueError):
+class NotWeaklyReversible(CheckFailed, ValueError):
     """Raised when an operation needs every edge inside a strongly
     connected component and the network does not provide that."""
 

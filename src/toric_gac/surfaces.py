@@ -27,13 +27,13 @@ import numpy as np
 
 from .dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
 from .geometry import Arrangement, inclusion_cone, polar_cone
-from .network import ReactionNetwork
+from .network import CheckFailed, ReactionNetwork
 
 _SCALE_FLOOR = 1e-300
 _MAX_HALVINGS = 1000
 
 
-class BandsOverlap(RuntimeError):
+class BandsOverlap(CheckFailed):
     pass
 
 

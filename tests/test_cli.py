@@ -7,8 +7,10 @@ Network files are written into a temporary directory from
 """
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -17,12 +19,13 @@ import sys
 import numpy as np
 import pytest
 
+import toric_gac
 from toric_gac.cli import build_parser, cli_dispatch
 from toric_gac.corpus import NETWORK_TEXTS
 from toric_gac.equilibria import solve_complex_balanced
 from toric_gac.experiments import ExperimentConfig, InitialConditions, \
     run_global_attractor_experiment
-from toric_gac.network import parse_network
+from toric_gac.network import CheckFailed, InputError, parse_network
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TEXTS = {
@@ -32,6 +35,13 @@ TEXTS = {
     "pair_7sp": "species A B C D E F G\nA <-> B ; kf=1 kr=1\n",
     "malformed": "species A B\nA -> ; k=1\n",
     "huge_exponent": "species A B\n1e300 A <-> B ; kf=1 kr=1\n",
+    # hostile inputs: rate ratios beyond the float range, huge exponents
+    "rate_span": "species A B\nA <-> B ; kf=1e-200 kr=1e200\n",
+    "rate_span_triangle": "species A B C\nA -> B ; k=1e-300\n"
+                          "B -> C ; k=1e300\nC -> A ; k=1\n",
+    "exponent_60": "species A B\n60 A <-> 60 B ; kf=1 kr=1\n",
+    "mixed_exponents": "species A B\n60 A + 3 B <-> B ; kf=2 kr=0.5\n"
+                       "B <-> 40 A ; kf=1 kr=3\n",
 }
 
 
@@ -282,11 +292,75 @@ def test_structural_paths_do_not_import_numpy(net_path, argv, expected):
     (("gac", "--trials", "2"), "two_triangles_vertex", 1,
      "check failed: NoComplexBalance: experiment requires a "
      "vertex-balance-solvable network"),
-], ids=["NotWeaklyReversible", "DimensionTooLarge", "NoComplexBalance"])
+    # raised in equilibria, which cli_dispatch does not name
+    (("equilibrium",), "rate_span", 2,
+     "input error: rates span more than the float range"),
+], ids=["NotWeaklyReversible", "DimensionTooLarge", "NoComplexBalance",
+        "rate-span"])
 def test_errors_map_in_a_fresh_process(net_path, argv, network, expected,
                                        line):
     code, out, err, _ = run_fresh(argv[0], net_path(network), *argv[1:])
     assert (code, out, err) == (expected, "", line + "\n")
+
+
+def test_every_public_error_has_one_exit_base():
+    # cli_dispatch maps the two bases only, so a class with neither would
+    # reach the user as a traceback, and one with both has two exit codes
+    names = set()
+    for info in pkgutil.iter_modules(toric_gac.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"toric_gac.{info.name}")
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and issubclass(cls, Exception)
+                    and cls.__module__ == module.__name__
+                    and not name.startswith("_")
+                    and cls not in (InputError, CheckFailed)):
+                names.add(name)
+                assert issubclass(cls, InputError) != issubclass(
+                    cls, CheckFailed), name
+    assert {"UsageError", "NotWeaklyReversible", "DimensionTooLarge",
+            "CoincidentVertices", "NewtonDivergence", "BandsOverlap",
+            "StepSizeUnderflow"} <= names
+
+
+def finite(token):
+    raise AssertionError(f"non-finite {token} in the report")
+
+
+HOSTILE = ("rate_span", "rate_span_triangle", "huge_exponent", "exponent_60",
+           "mixed_exponents")
+SMALL_RUNS = {
+    "analyze": (),
+    "equilibrium": (),
+    "simulate": ("--horizon", "1", "--format", "json"),
+    "embed-verify": ("--trials", "20"),
+    "curve2d": (),
+    "certify-surface": (),
+    "persist": ("--trials", "3", "--horizon", "2"),
+    "gac": ("--trials", "3", "--horizon", "2"),
+}
+MONOMIAL_OVERFLOW = pytest.mark.xfail(
+    strict=True, raises=RuntimeWarning,
+    reason="dynamics.flows overflows in x ** Ys; log-space monomials would "
+           "fix it but change integrated bits")
+
+
+@pytest.mark.parametrize("network,command", [
+    pytest.param(network, command, marks=MONOMIAL_OVERFLOW
+                 if network in ("huge_exponent", "mixed_exponents")
+                 and command in ("persist", "gac") else ())
+    for network in HOSTILE for command in SMALL_RUNS])
+def test_hostile_input_ends_in_a_report_or_one_line(net_path, capsys,
+                                                    network, command):
+    code, out, err = run(capsys, command, net_path(network),
+                         *SMALL_RUNS[command])
+    assert "NaN" not in out + err and "Infinity" not in out + err
+    if out:
+        assert code in (0, 1) and err == ""
+        json.loads(out, parse_constant=finite)
+    else:
+        assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n")
 
 
 # -- curve2d and certify-surface ------------------------------------------
@@ -300,9 +374,6 @@ def test_huge_exponent_runs_with_warnings_as_errors(net_path, command):
     code, out, err, _ = run_fresh(command, net_path("huge_exponent"),
                                   flags=("-W", "error"))
     assert (code, err) == (0, "")
-
-    def finite(token):
-        raise AssertionError(f"non-finite {token} in the report")
     json.loads(out, parse_constant=finite)
 
 
