@@ -155,7 +155,7 @@ class RateSchedule:
 
 def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
                 ) -> np.ndarray:
-    """One positive rate per edge: the network's stored rates when
+    """One positive finite rate per edge: the network's stored rates when
     ``rates`` is None, otherwise ``rates`` checked against the edge count.
     With ``rows`` given, one (rows, E) row of rates per state also fits."""
     if rates is None:
@@ -167,6 +167,9 @@ def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
             f"expected {len(net.reactions)} rates, got shape {rates.shape}")
     if (rates <= 0.0).any():
         raise ValueError("rates must be strictly positive")
+    if (bad := np.flatnonzero(~np.isfinite(rates))).size:
+        raise InputError(f"rate of edge {bad[0] % rates.shape[-1]} is not "
+                         f"finite: {rates.flat[bad[0]]}")
     return rates
 
 

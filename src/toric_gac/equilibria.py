@@ -4,9 +4,10 @@ Birch points.
 A positive state x0 is vertex balanced when at every vertex the incoming
 mass-action flows sum to the outgoing ones.  The positive kernel of each
 linkage class's flow Laplacian is spanned by the rooted in-tree weights
-(matrix-tree theorem), computed exactly in integers and rounded once to
-float; solving y_v . log x0 = log K_v + alpha_class in least squares and
-back-substituting decides existence.
+(matrix-tree theorem).  Each class has one Laplacian, made integral by a
+power of two: ``network._bareiss`` takes its minors exactly, rounded once
+to float, and the Laplacian scaled back checks the kernel.  Solving
+y_v . log x0 = log K_v + alpha_class in least squares decides existence.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .network import (
     InputError,
     NotWeaklyReversible,
     ReactionNetwork,
+    _bareiss,
     is_weakly_reversible,
     linkage_classes,
     stoichiometric_subspace,
@@ -97,61 +99,38 @@ def vertex_balance_residual(net: ReactionNetwork, rates, x0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tree constants
 
-def _class_edges(net: ReactionNetwork, members: tuple[int, ...], k: np.ndarray):
-    kin = net.kinetics
-    inside = np.isin(kin.source, members)
-    return list(zip(kin.source[inside].tolist(), kin.target[inside].tolist(),
-                    k[inside].tolist()))
-
-
-def _intree_weights(members, edges) -> dict[int, float]:
-    """Matrix-tree route, exact: K[v] is the minor of the out-degree
-    Laplacian without v's row and column, rounded once to float.
-
-    Rates are binary fractions, so one power of two D makes the Laplacian
-    integral.  Each minor comes from Bareiss' fraction-free elimination,
-    whose divisions are exact; on a weakly reversible class the reduced
-    Laplacian is a nonsingular M-matrix, so its pivots are positive and no
-    pivoting is needed.  A weight beyond the float range becomes inf.
-    """
-    ratios = [w.as_integer_ratio() for _, _, w in edges]
-    D = max((q for _, q in ratios), default=1)  # lcm of powers of two
+def _class_laplacian(net: ReactionNetwork, members, k: np.ndarray):
+    """(lap, D): the class's out-degree Laplacian times D, the largest
+    power-of-two denominator of its rates, which makes ``lap`` integral."""
     idx = {v: i for i, v in enumerate(members)}
-    c = len(members)
-    lap = [[0] * c for _ in range(c)]
-    for (u, v, _), (p, q) in zip(edges, ratios):
-        w = p * (D // q)
-        lap[idx[u]][idx[v]] -= w
-        lap[idx[u]][idx[u]] += w
-    K = {}
-    for root in members:
-        i = idx[root]
-        a = [[x for j, x in enumerate(row) if j != i]
-             for r, row in enumerate(lap) if r != i]
-        prev = 1
-        for t in range(c - 2):
-            for r in range(t + 1, c - 1):
-                for s in range(t + 1, c - 1):
-                    a[r][s] = (a[r][s] * a[t][t] - a[r][t] * a[t][s]) // prev
-            prev = a[t][t]
-        minor = a[-1][-1] if a else 1
-        try:
-            K[root] = minor / D ** (c - 1)  # int / int is correctly rounded
-        except OverflowError:
-            K[root] = math.inf
-    return K
+    edges = [(idx[r.source], idx[r.target], w.as_integer_ratio())
+             for r, w in zip(net.reactions, k.tolist()) if r.source in idx]
+    D = max((q for *_, (_, q) in edges), default=1)
+    lap = [[0] * len(members) for _ in members]
+    for u, v, (p, q) in edges:
+        lap[u][v] -= p * (D // q)
+        lap[u][u] += p * (D // q)
+    return lap, D
 
 
-def _flow_laplacian(members, edges) -> np.ndarray:
-    """M with (M c)_v = sum_{u->v} k c_u - c_v sum_{v->u} k; kernel holds
-    the balanced monomial vectors."""
-    idx = {v: i for i, v in enumerate(members)}
-    c = len(members)
-    M = np.zeros((c, c))
-    for u, v, w in edges:
-        M[idx[v], idx[u]] += w
-        M[idx[u], idx[u]] -= w
-    return M
+def _ratio(p: int, q: int) -> float:
+    """p / q correctly rounded (int / int is), or +-inf past the float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
+def _intree_weights(lap, D) -> list[float]:
+    """Matrix-tree route, exact: on c vertices, K[v] is the minor of ``lap``
+    without v's row and column over D**(c - 1), rounded once.  The reduced
+    Laplacian of a weakly reversible class is a nonsingular M-matrix, so
+    each column of :func:`_bareiss` pivots on its first row and the last
+    pivot is the minor; a one-vertex class gives 1."""
+    minors = (_bareiss([[x for j, x in enumerate(row) if j != i]
+                        for r, row in enumerate(lap) if r != i])[1]
+              for i in range(len(lap)))
+    return [_ratio(minor, D ** (len(lap) - 1)) for minor in minors]
 
 
 def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
@@ -165,23 +144,22 @@ def tree_constants(net: ReactionNetwork, rates=None) -> TreeConstants:
 def _tree_constants(net: ReactionNetwork, k: np.ndarray) -> TreeConstants:
     """``tree_constants`` at checked rates on a weakly reversible network."""
     classes = linkage_classes(net)
-    K = [0.0] * net.m
+    K = np.zeros(net.m)
     for members in classes:
-        edges = _class_edges(net, members, k)
-        weights = _intree_weights(members, edges)
-        vec = np.array([weights[v] for v in members])
+        lap, D = _class_laplacian(net, members, k)
+        vec = np.array(_intree_weights(lap, D))
         if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
             raise SingularSystem(
                 f"tree constants not finite positive in class {members}")
-        M = _flow_laplacian(members, edges)
+        # flow matrix: (M c)_v = sum_{u->v} k c_u - c_v sum_{v->u} k
+        M = np.array([[_ratio(-x, D) for x in col] for col in zip(*lap)])
         scale = max(float(np.max(np.abs(M))), 1e-300) * float(np.max(vec))
         resid = float(np.max(np.abs(M @ vec))) / scale
         if not (resid <= 1e-10):
             raise SingularSystem(
                 f"tree constants fail the kernel check: residual {resid}")
-        for v, w in weights.items():
-            K[v] = w
-    return TreeConstants(tuple(K), classes)
+        K[members] = vec
+    return TreeConstants(tuple(K.tolist()), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +223,8 @@ def lyapunov_gradient(x, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x.shape != x0.shape:
         raise DimensionMismatch(f"shapes {x.shape} and {x0.shape} differ")
+    if np.any(x <= 0.0) or np.any(x0 <= 0.0):
+        raise ValueError("states must be strictly positive")
     return np.log(x) - np.log(x0)
 
 
@@ -281,11 +261,6 @@ def birch_point(net: ReactionNetwork, rates, x_ref,
         return x_ref.copy()
 
     lnx0 = np.log(x0)
-
-    def value(u):
-        x = x_ref + basis @ u
-        return float(np.sum(x * (np.log(x) - lnx0 - 1.0) + x0))
-
     u = np.zeros(s)
     x = x_ref.copy()
     for _ in range(_BIRCH_MAX_ITER):
@@ -297,12 +272,12 @@ def birch_point(net: ReactionNetwork, rates, x_ref,
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence(f"singular reduced Hessian: {exc}") from exc
-        base = value(u)
+        base = lyapunov_value(x, x0)
         alpha = 1.0
         for _ in range(60):
             cand = u + alpha * step
             xc = x_ref + basis @ cand
-            if np.all(xc > 0.0) and value(cand) <= base + 1e-12:
+            if np.all(xc > 0.0) and lyapunov_value(xc, x0) <= base + 1e-12:
                 u, x = cand, xc
                 break
             alpha *= 0.5

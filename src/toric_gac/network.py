@@ -18,6 +18,8 @@ Complexes are deduplicated by exact vector equality.  Field, balance and
 stoichiometry code reads a network's edge data from one cached array view,
 ``ReactionNetwork.kinetics``, whose first access imports numpy; parsing, the
 graph routines and the exact stoichiometric rank run without numpy.
+``_bareiss`` is the package's one exact integer elimination: it gives the
+stoichiometric rank here and the matrix-tree minors in ``equilibria``.
 """
 
 from __future__ import annotations
@@ -458,22 +460,30 @@ def _decimal(v: float) -> tuple[int, int]:
     return int(whole + frac), int(exp or 0) - len(frac)
 
 
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows: (rank, last
+    pivot).  Each column pivots on the first remaining row nonzero there,
+    and every division is exact.  When the first remaining row always
+    pivots, as on a nonsingular M-matrix, the last pivot of a square
+    matrix is its determinant, sign included; no rows give (0, 1)."""
+    prev, left = 1, rows
+    for j in range(len(rows[0]) if rows else 0):  # pivot rows leave ``left``
+        if (p := next((r for r in left if r[j]), None)) is not None:
+            left = [[(a * p[j] - b * r[j]) // prev for a, b in zip(r, p)]
+                    for r in left if r is not p]
+            prev = p[j]
+    return len(rows) - len(left), prev
+
+
 def stoichiometric_rank(net: ReactionNetwork) -> int:
-    """dim span{y_target - y_source}, exact: Bareiss elimination of the
+    """dim span{y_target - y_source}, exact: :func:`_bareiss` on the
     decimals the text gave (coordinate reprs) scaled to integers; cached."""
     if (s := net.__dict__.get("_rank")) is None:
         dec = [[_decimal(v) for v in c.y] for c in net.complexes]
         low = min((e for y in dec for _, e in y), default=0)
         y = [[d * 10 ** (e - low) for d, e in row] for row in dec]
-        rows = [[a - b for a, b in zip(y[r.target], y[r.source])]
-                for r in net.reactions]
-        prev = 1
-        for j in range(net.n):  # each pivot row leaves ``rows``
-            if (p := next((r for r in rows if r[j]), None)) is not None:
-                rows = [[(a * p[j] - b * r[j]) // prev for a, b in zip(r, p)]
-                        for r in rows if r is not p]
-                prev = p[j]
-        s = len(net.reactions) - len(rows)
+        s = _bareiss([[a - b for a, b in zip(y[r.target], y[r.source])]
+                      for r in net.reactions])[0]
         net.__dict__["_rank"] = s  # no slots: cached as ``kinetics`` is
     return s
 

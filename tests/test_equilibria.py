@@ -31,6 +31,7 @@ from toric_gac.equilibria import (
     vertex_balance_residual,
 )
 from toric_gac.network import (
+    InputError,
     NotWeaklyReversible,
     deficiency,
     linkage_classes,
@@ -259,6 +260,21 @@ def test_tree_constants_overflow_is_reported():
             tree_constants(net, [rate, rate, rate])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_rates_raise_a_typed_error(bad):
+    net = load("rev_pair")
+    for call in (lambda r: tree_constants(net, r),
+                 lambda r: solve_complex_balanced(net, r),
+                 lambda r: mass_action_field(net, r, [1.0, 1.0]),
+                 lambda r: mass_action_field(net, [[1.0, 1.0], r],
+                                             [[1.0, 1.0]] * 2)):
+        with pytest.raises(InputError, match=f"rate of edge 1 is not finite: {bad}"):
+            call([1.0, bad])
+        with pytest.raises(ValueError, match="strictly positive") as info:
+            call([1.0, -math.inf])
+        assert not isinstance(info.value, InputError)
+
+
 # ---------------------------------------------------------------------------
 # complex-balance solving
 
@@ -399,6 +415,16 @@ def test_lyapunov_decrease_on_balanced_instances():
         for _ in range(200):
             x = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=net.n))
             assert lyapunov_derivative(net, None, x, x0) <= 1e-12
+
+
+def test_lyapunov_gradient_checks_positivity_as_the_value_does():
+    net = load("rev_pair")
+    for x, x0 in (([0.0, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, -1.0])):
+        for call in (lambda: lyapunov_value(x, x0),
+                     lambda: lyapunov_gradient(x, x0),
+                     lambda: lyapunov_derivative(net, None, x, x0)):
+            with pytest.raises(ValueError, match="states must be strictly positive"):
+                call()
 
 
 def test_lyapunov_gradient_vs_finite_differences():

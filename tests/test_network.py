@@ -3,10 +3,12 @@
 Oracles used here and nowhere in the library:
   * dense reachability (Floyd-Warshall) for strong-connectivity checks,
   * numpy.linalg.matrix_rank for the stoichiometric dimension,
+  * Gaussian elimination over Fraction for the exact integer elimination,
   * direct edge bookkeeping for cycle-cover soundness.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from toric_gac.network import (
     Reaction,
     ReactionNetwork,
     UnknownSpeciesError,
+    _bareiss,
     cycle_cover,
     deficiency,
     is_reversible,
@@ -368,6 +371,73 @@ def test_exact_rank_reads_the_decimals_the_text_gave():
     assert stoichiometric_rank(near) == 2
     assert svd_rank(near) == 1
     assert stoichiometric_subspace(near)[0].shape == (2, 2)
+
+
+def fraction_elimination(rows):
+    """Oracle: (rank, determinant) by Gaussian elimination over Fraction
+    with row swaps; the determinant is 0 unless the matrix is square and
+    nonsingular, and 1 for the empty matrix."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for j in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][j]
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] / a[rank][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    square = all(len(row) == len(a) for row in a)
+    return rank, det if square and rank == len(a) else Fraction(0)
+
+
+def random_integer_matrix(rng):
+    """Small entries, huge entries beyond 2**1100, dependent rows, and
+    strictly diagonally dominant squares, whose leading minors are all
+    nonzero."""
+    r, c = (int(v) for v in rng.integers(0, 6, size=2))
+    kind = int(rng.integers(4))
+    if kind == 3:
+        c = r
+    rows = [[int(v) for v in rng.integers(-3, 4, size=c)] for _ in range(r)]
+    if kind == 1:
+        rows = [[v * 2 ** 1100 + int(rng.integers(-2, 3)) for v in row]
+                for row in rows]
+    if kind == 2 and r >= 2:  # last row: a combination of the first two
+        f, g = (int(v) for v in rng.integers(-3, 4, size=2))
+        rows[-1] = [f * a + g * b for a, b in zip(rows[0], rows[1])]
+    if kind == 3:
+        sign = int(rng.choice([-1, 1]))
+        for i, row in enumerate(rows):
+            row[i] = sign * (1 + sum(abs(v) for j, v in enumerate(row) if j != i))
+    return kind, rows
+
+
+def test_bareiss_matches_a_fraction_oracle():
+    rng = np.random.default_rng(20261020)
+    seen = set()
+    for _ in range(600):
+        kind, rows = random_integer_matrix(rng)
+        rank, last = _bareiss([row[:] for row in rows])
+        want_rank, want_det = fraction_elimination(rows)
+        assert rank == want_rank
+        if want_det:
+            # row order may move a pivot, which flips only the sign; a
+            # diagonally dominant square pivots on its first row each time
+            assert abs(last) == abs(want_det)
+            if kind == 3:
+                assert last == want_det
+            seen.add((kind, rank < len(rows)))
+        else:
+            seen.add((kind, True))
+    assert {(0, False), (1, False), (2, True), (3, False)} <= seen
+    assert _bareiss([]) == (0, 1)
+    assert _bareiss([[], []]) == (0, 1)
+    assert _bareiss([[2 ** 1200, 1], [2 ** 1201, 2]]) == (1, 2 ** 1200)
 
 
 def test_kinetics_view_is_cached_and_read_only():
