@@ -15,8 +15,9 @@ cell's inclusion cone C is a closed polyhedral cone, so f(k) lies in C for
 every k in [lo, hi]^E exactly when, for each generator w of the polar cone
 of C, the worst rate corner (k_e = hi where w.c_e > 0, else lo) keeps
 w.f(k) <= 0.  This is closed form.  The polar generators depend only on the
-arrangement and the cell's sign vector; they are cached per arrangement,
-keyed by sign row, and one stacked pass checks every sampled state against
+arrangement and the cell's sign vector: ``geometry.locate_cell`` gives every
+state's sign row in one call, ``geometry.cell_polars`` the cached polars of
+the visited cells, and one stacked pass checks every sampled state against
 its own cell's generators, whatever the number of visited cells.
 ``verify_embedding_at`` checks one rate vector with NNLS and is the oracle
 a failure replays through.
@@ -33,11 +34,11 @@ from .dynamics import RateBand, RateSchedule, mass_action_field
 from .geometry import (
     Arrangement,
     ConeMembership,
-    cell_cone,
+    cell_polars,
     cone_membership,
     inclusion_cone,
+    locate_cell,
     norm,
-    polar_cone,
 )
 from .network import (
     CycleCover,
@@ -170,46 +171,7 @@ def _normalize_box(box, n: int) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
-_POLAR_CELLS = 1024  # cached cells over all arrangements
 _TRIAL_BLOCK = 1024  # trials per gathered contraction
-_polar_tables: dict[Arrangement, dict[bytes, np.ndarray]] = {}
-
-
-def _polar_generators(arr: Arrangement, cells: np.ndarray,
-                      n: int) -> list[np.ndarray]:
-    """Read-only polar generators of the inclusion cone of each cell, one
-    int8 sign row of ``cells`` per cell; no rows where that cone is all of
-    space.  The arrangement's table, keyed by sign row, is found with one
-    hash of ``arr``; the tables hold at most ``_POLAR_CELLS`` cells and are
-    emptied when full."""
-    table = _polar_tables.setdefault(arr, {})
-    width = cells.shape[1]
-    flat = cells.tobytes()
-    out = []
-    for c in range(len(cells)):
-        key = flat[c * width:(c + 1) * width]
-        polar = table.get(key)
-        if polar is None:
-            polar = polar_cone(cell_cone(arr, cells[c].tolist(), n), dim=n)
-            polar.flags.writeable = False
-            if sum(map(len, _polar_tables.values())) >= _POLAR_CELLS:
-                _polar_tables.clear()
-                table = _polar_tables[arr] = {}
-            table[key] = polar
-        out.append(polar)
-    return out
-
-
-def _cells(signs: np.ndarray):
-    """Distinct sign rows and each row's index among them, as
-    ``np.unique(signs, axis=0, return_inverse=True)`` gives them, through
-    base-3 row keys while 3^H fits in int64.  The cell order reaches no
-    output: each trial is checked against its own cell's generators."""
-    if 3 ** signs.shape[1] > 2 ** 63:
-        return np.unique(signs, axis=0, return_inverse=True)
-    key = (signs + 1).astype(np.int64) @ 3 ** np.arange(signs.shape[1])[::-1]
-    _, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
-    return signs[first], cell_of
 
 
 def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
@@ -243,16 +205,13 @@ def sample_verify_embedding(cert: EmbeddingCertificate, net: ReactionNetwork,
     lo, hi = np.array(nbox).T
     u = np.random.default_rng(seed).random((trials, n + len(kin.k)))
     log_x = lo + (hi - lo) * u[:, :n]
-    d = log_x @ cert.arrangement.normal_matrix().reshape(-1, n).T
-    signs = np.where(np.abs(d) < cert.delta0, 0, np.sign(d)).astype(np.int8)
+    signs = locate_cell(cert.arrangement, log_x, cert.delta0)
     log_mono = log_x @ kin.Ys.T
     shift = log_mono.max(axis=1, initial=0.0)
     mono = np.exp(log_mono - shift[:, None])
     bound = tol * np.maximum(np.exp(-shift), band.hi * (
         mono @ norm(kin.D, axis=1)))
-    cells, cell_of = _cells(signs)
-    cell_of = cell_of.ravel()
-    polars = _polar_generators(cert.arrangement, cells, n)
+    polars, cell_of = cell_polars(cert.arrangement, signs, n)
     counts = np.fromiter(map(len, polars), dtype=np.intp, count=len(polars))
     # G >= 1 even when every visited cone is all of space and has no rows
     valid = np.arange(max(1, counts.max())) < counts[:, None]

@@ -6,7 +6,7 @@ mass-action flows sum to the outgoing ones.  The positive kernel of each
 linkage class's flow Laplacian is spanned by the rooted in-tree weights
 (matrix-tree theorem).  Each class has one Laplacian, made integral by a
 power of two: ``network._bareiss`` takes its minors exactly, rounded once
-to float, and the Laplacian scaled back checks the kernel.  Solving
+to float, and the Laplacian over a power of two checks the kernel.  Solving
 y_v . log x0 = log K_v + alpha_class in least squares decides existence.
 """
 
@@ -151,8 +151,10 @@ def _tree_constants(net: ReactionNetwork, k: np.ndarray) -> TreeConstants:
         if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
             raise SingularSystem(
                 f"tree constants not finite positive in class {members}")
-        # flow matrix: (M c)_v = sum_{u->v} k c_u - c_v sum_{v->u} k
-        M = np.array([[_ratio(-x, D) for x in col] for col in zip(*lap)])
+        # flow matrix (M c)_v = sum_{u->v} k c_u - c_v sum_{v->u} k over the
+        # power of two above lap's largest entry: no overflow, same residual
+        q = 1 << max(abs(x) for row in lap for x in row).bit_length()
+        M = np.array([[-x / q for x in col] for col in zip(*lap)])
         scale = max(float(np.max(np.abs(M))), 1e-300) * float(np.max(vec))
         resid = float(np.max(np.abs(M @ vec))) / scale
         if not (resid <= 1e-10):

@@ -11,6 +11,9 @@ The inclusion cone of an arrangement at a point X with band half-width
 toward the hyperplane; inside a band (|n.X| < delta, strict) both signs
 enter.  ``fan_inclusion_cone`` is the fan-level counterpart: it unions the
 polar cones of all fan members within distance ``delta`` of X.
+
+Cells live here: ``locate_cell`` is the one sign rule and ``cell_polars``
+the one polar cache, keyed by sign row, for every caller.
 """
 
 from __future__ import annotations
@@ -214,17 +217,14 @@ def polar_cone(gens, dim: int | None = None) -> np.ndarray:
 # arrangements, cells, inclusion cones
 
 
-def locate_cell(arr: Arrangement, X, delta: float) -> tuple[int, ...]:
-    """Sign vector of X: 0 whenever |normal . X| < delta (strict), else the
-    sign of normal . X."""
+def locate_cell(arr: Arrangement, X, delta: float) -> np.ndarray:
+    """Sign row of a point X, or one per row of a (T, n) batch, as int8: 0
+    whenever |normal . X| < delta (strict), else the sign of normal . X."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     X = np.asarray(X, dtype=float)
-    signs = []
-    for h in arr.hyperplanes:
-        d = float(h.vector @ X)
-        signs.append(0 if abs(d) < delta else int(np.sign(d)))
-    return tuple(signs)
+    d = X @ arr.normal_matrix().reshape(-1, X.shape[-1]).T
+    return np.where(np.abs(d) < delta, 0, np.sign(d)).astype(np.int8)
 
 
 def cell_cone(arr: Arrangement, signs, n: int) -> np.ndarray:
@@ -240,6 +240,47 @@ def cell_cone(arr: Arrangement, signs, n: int) -> np.ndarray:
         else:
             gens.append(-s * v)
     return np.array(gens).reshape(len(gens), n)
+
+
+_POLAR_CELLS = 1024  # cached cells over all arrangements
+_polar_tables: dict[Arrangement, dict[bytes, np.ndarray]] = {}
+
+
+def _cells(signs: np.ndarray):
+    """Distinct sign rows and each row's index among them, as
+    ``np.unique(signs, axis=0, return_inverse=True)`` gives them, through
+    base-3 row keys while 3^H fits in int64."""
+    if 3 ** signs.shape[1] > 2 ** 63:
+        return np.unique(signs, axis=0, return_inverse=True)
+    key = (signs + 1).astype(np.int64) @ 3 ** np.arange(signs.shape[1])[::-1]
+    _, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
+    return signs[first], cell_of
+
+
+def cell_polars(arr: Arrangement, signs: np.ndarray,
+                n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """(polars, cell_of) for (T, H) int8 sign rows: the read-only polar of
+    ``cell_cone`` of each distinct row (no rows where that cone is all of
+    space) and each row's index among them.  The arrangement's table is
+    found with one hash of ``arr``; the tables hold at most
+    ``_POLAR_CELLS`` cells and are emptied when full."""
+    cells, cell_of = _cells(signs)
+    table = _polar_tables.setdefault(arr, {})
+    width = cells.shape[1]
+    flat = cells.tobytes()
+    polars = []
+    for c in range(len(cells)):
+        key = flat[c * width:(c + 1) * width]
+        polar = table.get(key)
+        if polar is None:
+            polar = polar_cone(cell_cone(arr, cells[c].tolist(), n), dim=n)
+            polar.flags.writeable = False
+            if sum(map(len, _polar_tables.values())) >= _POLAR_CELLS:
+                _polar_tables.clear()
+                table = _polar_tables[arr] = {}
+            table[key] = polar
+        polars.append(polar)
+    return polars, cell_of.ravel()
 
 
 def inclusion_cone(arr: Arrangement, delta: float, X) -> np.ndarray:

@@ -88,8 +88,9 @@ class Reaction:
     def __post_init__(self):
         if self.source == self.target:
             raise ValueError("reaction source and target must differ")
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(
+                f"rate must be positive and finite, got {self.rate}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,10 +12,10 @@ open third quadrant are crossed once each, in the angular order of their
 interior directions, by straight state-space segments parallel to the
 hyperplane normal (so nu _|_ n exactly inside the band); between bands a
 connector runs along the middle direction of the sector's admissible
-normal cone, and junctions come from bisection.  ``verify_curve_exact``,
-which decides the invariance condition at every point of the curve, is
-the one acceptance gate: a chain it rejects, or one that turns back, is
-rebuilt at half the scale.
+normal cone (a cached cell polar), and junctions come from bisection.
+``verify_curve_exact``, which decides the invariance condition at every
+point of the curve, is the one acceptance gate: a chain it rejects, or one
+that turns back, is rebuilt at half the scale.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
-from .geometry import Arrangement, inclusion_cone, polar_cone
+from .geometry import Arrangement, cell_cone, cell_polars, locate_cell
 from .network import CheckFailed, ReactionNetwork
 
 _SCALE_FLOOR = 1e-300
@@ -146,17 +146,6 @@ def _interior_direction(n) -> np.ndarray:
     return np.array([n[1], -n[0]])
 
 
-def _sector_normal_cone(normals: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Extreme rays of {nu : nu . g >= 0 for all inclusion-cone generators
-    g of the cell containing the probe direction}."""
-    gens = []
-    for n in normals:
-        s = math.copysign(1.0, float(n @ probe))
-        gens.append(s * n)  # -(-s n) passed to the polar computation
-    rays = polar_cone(np.array(gens), dim=2)
-    return rays
-
-
 def _mid_normal(rays: np.ndarray) -> np.ndarray:
     """Angular midpoint of the admissible normal cone clipped to the open
     positive quadrant (normals there give monotone travel directions)."""
@@ -206,7 +195,6 @@ def _axis_hit(p: np.ndarray, u: np.ndarray, x1_target: float) -> float:
 
 def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D:
     tiny = 1e-10 * scale
-    normals = arr.normal_matrix()
     order = _crossing_order(arr)
     pad = delta + max(0.001 * delta, 1e-4)
 
@@ -233,8 +221,10 @@ def _construct(arr: Arrangement, delta: float, scale: float) -> PolygonalCurve2D
     def connector(p, probe, pos):
         """Append the connector from p along the middle normal of the
         sector holding ``probe`` to the entry of crossing ``pos`` (the axis
-        corridor when pos == k); return its end."""
-        nu_c = _mid_normal(_sector_normal_cone(normals, probe))
+        corridor when pos == k); return its end.  {nu : nu . g >= 0 on the
+        probe's cell cone} is the polar at the negated sign row."""
+        polars, _ = cell_polars(arr, -locate_cell(arr, probe, 0.0)[None], 2)
+        nu_c = _mid_normal(polars[0])
         u_c = np.array([-nu_c[1], nu_c[0]])
         if pos == k:
             tau = _axis_hit(p, u_c, tiny)
@@ -346,8 +336,10 @@ def verify_zero_separating(cert: SurfaceCertificate, arr: Arrangement,
     """Per-sample invariance test: every inclusion-cone generator g at
     log x must satisfy g . nu >= -tol.  Works in any dimension."""
     violations = []
-    for i, (x, nu) in enumerate(cert.samples):
-        gens = inclusion_cone(arr, delta, np.log(np.array(x)))
+    log_x = np.log([x for x, _ in cert.samples])
+    signs = locate_cell(arr, log_x, delta).tolist() if len(log_x) else []
+    for i, ((x, nu), row) in enumerate(zip(cert.samples, signs)):
+        gens = cell_cone(arr, row, len(x))
         nu_arr = np.array(nu)
         for g in gens:
             d = float(g @ nu_arr)

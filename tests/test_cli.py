@@ -9,6 +9,7 @@ Network files are written into a temporary directory from
 import csv
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -21,7 +22,7 @@ import pytest
 
 import toric_gac
 from toric_gac.cli import build_parser, cli_dispatch
-from toric_gac.corpus import NETWORK_TEXTS
+from toric_gac.corpus import EMBEDDING_CORPUS, NETWORK_TEXTS
 from toric_gac.equilibria import solve_complex_balanced
 from toric_gac.experiments import ExperimentConfig, InitialConditions, \
     run_global_attractor_experiment
@@ -42,6 +43,10 @@ TEXTS = {
     "exponent_60": "species A B\n60 A <-> 60 B ; kf=1 kr=1\n",
     "mixed_exponents": "species A B\n60 A + 3 B <-> B ; kf=2 kr=0.5\n"
                        "B <-> 40 A ; kf=1 kr=3\n",
+    # A's out-rates sum past the float range; its tree constants do not
+    "out_rates_overflow": "species A B C\nA -> B ; k=1.5e308\n"
+                          "A -> C ; k=1.5e308\nB -> A ; k=1\nC -> A ; k=1\n",
+    "tiny_rates": "species A B\nA <-> B ; kf=1e-305 kr=2e-305\n",
 }
 
 
@@ -346,21 +351,55 @@ MONOMIAL_OVERFLOW = pytest.mark.xfail(
            "fix it but change integrated bits")
 
 
-@pytest.mark.parametrize("network,command", [
-    pytest.param(network, command, marks=MONOMIAL_OVERFLOW
-                 if network in ("huge_exponent", "mixed_exponents")
-                 and command in ("persist", "gac") else ())
-    for network in HOSTILE for command in SMALL_RUNS])
+# eps near 1 sends delta0 to 0, the strict edge of the band rule
+NEAR_ONE = ("1.0", "0.999999999999")
+
+
+@pytest.mark.parametrize("network,command,epsilon", [
+    *(pytest.param(network, command, None, id=f"{network}-{command}",
+                   marks=MONOMIAL_OVERFLOW
+                   if network in ("huge_exponent", "mixed_exponents")
+                   and command in ("persist", "gac") else ())
+      for network in HOSTILE for command in SMALL_RUNS),
+    *(pytest.param(network, command, eps, id=f"{network}-{command}-eps{eps}")
+      for network in EMBEDDING_CORPUS
+      for command in ("embed-verify", "curve2d", "certify-surface")
+      for eps in NEAR_ONE)])
 def test_hostile_input_ends_in_a_report_or_one_line(net_path, capsys,
-                                                    network, command):
+                                                    network, command, epsilon):
+    extra = () if epsilon is None else ("--epsilon", epsilon)
     code, out, err = run(capsys, command, net_path(network),
-                         *SMALL_RUNS[command])
+                         *SMALL_RUNS[command], *extra)
+    if epsilon is not None:  # the corpus passes; curves need two species
+        assert code == 0 or "needs exactly 2 species" in err
     assert "NaN" not in out + err and "Infinity" not in out + err
     if out:
         assert code in (0, 1) and err == ""
         json.loads(out, parse_constant=finite)
     else:
         assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_kernel_check_takes_rates_at_either_end_of_the_float_range(
+        net_path, capsys):
+    # the tree constants (1, 1.5e308, 1.5e308) are finite, and the kernel
+    # check that accepts them no longer overflows on A's row
+    path = net_path("out_rates_overflow")
+    code, doc, err = run_json(capsys, "equilibrium", path)
+    assert (code, err) == (0, "")
+    assert np.allclose(doc["x0"], [8.164965809276293e-155,
+                                   1.2247448713919429e154,
+                                   1.2247448713914555e154], rtol=1e-9, atol=0)
+    for command in ("persist", "gac"):
+        code, doc, err = run_json(capsys, command, path, *SMALL_RUNS[command])
+        assert code in (0, 1) and err == ""
+        assert not any("SingularSystem" in (row["error"] or "")
+                       for row in doc["trajectories"])
+    # rates near the bottom of the float range: the same check used to
+    # divide by a scale that underflowed to 0 (a bare ZeroDivisionError)
+    code, doc, err = run_json(capsys, "equilibrium", net_path("tiny_rates"))
+    assert (code, err) == (0, "")
+    assert math.isclose(doc["x0"][1] / doc["x0"][0], 0.5, rel_tol=1e-12)
 
 
 # -- curve2d and certify-surface ------------------------------------------

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from toric_gac import embedding
+from toric_gac import embedding, geometry
 from toric_gac.corpus import EMBEDDING_CORPUS, load
 from toric_gac.dynamics import RateBand, RateSchedule, mass_action_field
 from toric_gac.embedding import (
@@ -517,12 +517,12 @@ def test_small_polar_tables_and_trial_blocks_keep_the_report(monkeypatch):
                                cert.cover, cert.epsilon_split)
     want = sample_verify_embedding(bad, net, band, 1000, seed=3)
     assert want.failures
-    monkeypatch.setattr(embedding, "_POLAR_CELLS", 16)
+    monkeypatch.setattr(geometry, "_POLAR_CELLS", 16)
     monkeypatch.setattr(embedding, "_TRIAL_BLOCK", 96)
-    monkeypatch.setattr(embedding, "_polar_tables", {})
+    monkeypatch.setattr(geometry, "_polar_tables", {})
     got = sample_verify_embedding(bad, net, band, 1000, seed=3)
     assert got.to_json_dict() == want.to_json_dict()
-    assert 0 < sum(map(len, embedding._polar_tables.values())) <= 16
+    assert 0 < sum(map(len, geometry._polar_tables.values())) <= 16
 
 
 @pytest.mark.parametrize("H", [0, 1, 5, 39, 40, 45])
@@ -533,7 +533,7 @@ def test_cell_keys_group_rows_as_np_unique_does(H):
     pool = rng.integers(-1, 2, size=(12, H)).astype(np.int8)
     pool[0], pool[1] = -1, 1  # the smallest and the largest key
     signs = pool[rng.integers(0, 12, size=400)]
-    cells, cell_of = embedding._cells(signs)
+    cells, cell_of = geometry._cells(signs)
     want_cells, want_of = np.unique(signs, axis=0, return_inverse=True)
     assert np.array_equal(cells, want_cells)
     assert np.array_equal(cell_of.ravel(), want_of.ravel())

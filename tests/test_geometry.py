@@ -194,12 +194,34 @@ def test_point_to_cone_distance_against_grid_oracle():
 
 def test_locate_cell_signs_and_strictness():
     arr = Arrangement.from_vectors([(1, 0), (0, 1)])
-    assert locate_cell(arr, np.array([3.0, -2.0]), 1.0) == (1, -1)
-    assert locate_cell(arr, np.array([0.5, -2.0]), 1.0) == (0, -1)
+    assert locate_cell(arr, np.array([3.0, -2.0]), 1.0).dtype == np.int8
+    assert locate_cell(arr, np.array([3.0, -2.0]), 1.0).tolist() == [1, -1]
+    assert locate_cell(arr, np.array([0.5, -2.0]), 1.0).tolist() == [0, -1]
     # delta = 0: a point exactly on a hyperplane still reads 0
-    assert locate_cell(arr, np.array([0.0, 5.0]), 0.0) == (0, 1)
+    assert locate_cell(arr, np.array([0.0, 5.0]), 0.0).tolist() == [0, 1]
     # |n.X| == delta is outside the band (strict inequality)
-    assert locate_cell(arr, np.array([1.0, 5.0]), 1.0) == (1, 1)
+    assert locate_cell(arr, np.array([1.0, 5.0]), 1.0).tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_locate_cell_batch_rows_match_single_points(dim):
+    # the axis normals put points at n.X = +-delta exactly, on the strict
+    # band edge, next to points just inside it and at 0
+    rng = np.random.default_rng(dim)
+    arr = Arrangement.from_vectors(np.vstack([
+        np.eye(dim), rng.normal(size=(4, dim))]))
+    delta = 0.75
+    X = np.vstack([rng.choice([-delta, delta, np.nextafter(delta, 0.0), 0.0],
+                              size=(40, dim)),
+                   rng.uniform(-3.0, 3.0, size=(200, dim))])
+    batch = locate_cell(arr, X, delta)
+    assert batch.dtype == np.int8 and batch.shape == (len(X), len(arr))
+    for x, row in zip(X, batch):
+        assert np.array_equal(locate_cell(arr, x, delta), row)
+    edge = np.abs(X[:, :dim]) == delta
+    assert edge.any() and np.all(batch[:, :dim][edge] != 0)
+    inside = np.abs(X[:, :dim]) < delta
+    assert np.all(batch[:, :dim][inside] == 0)
 
 
 def test_inclusion_cone_off_band_is_cell_polar():

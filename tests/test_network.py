@@ -8,6 +8,7 @@ Oracles used here and nowhere in the library:
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,14 @@ def test_parse_duplicate_species():
 def test_parse_rejects_self_loop():
     with pytest.raises(NetworkParseError):
         parse_network("species A B\nA + B -> B + A ; k=1\n")
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_reaction_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    # an infinite rate would reach the exact tree constants, which cannot
+    # take it as an integer ratio
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        Reaction(0, 1, rate)
 
 
 def test_parse_missing_header():

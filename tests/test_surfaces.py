@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toric_gac import surfaces
+from toric_gac import geometry, surfaces
 from toric_gac.corpus import load
 from toric_gac.dynamics import IntegratorOptions, RateBand, RateSchedule, integrate
 from toric_gac.embedding import build_embedding
@@ -238,6 +238,78 @@ def test_chain_that_turns_back_is_a_retry():
         [-0.5351088329969169, 0.8447831300687045]]))
     with pytest.raises(BandsOverlap):
         build_zero_separating_curve_2d(arr, 0.8588313859930964)
+
+
+def seeded_arrangements(count):
+    """The first ``count`` seeded arrangements of default_rng(11): 2-5
+    normals at uniform angles and a log-uniform delta in [1e-3, 3]."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        ang = rng.uniform(0.0, np.pi, rng.integers(2, 6))
+        delta = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
+        yield Arrangement.from_vectors(
+            np.column_stack([np.cos(ang), np.sin(ang)])), delta
+
+
+def test_seeded_arrangement_outcomes_match_golden_digest():
+    # each curve's JSON or each BandsOverlap message, in seed order
+    parts, built = [], 0
+    for arr, delta in seeded_arrangements(100):
+        try:
+            curve = build_zero_separating_curve_2d(arr, delta)
+        except BandsOverlap as exc:
+            parts.append(f"BandsOverlap: {exc}")
+            continue
+        parts.append(json.dumps(curve.to_json_dict()))
+        built += 1
+    assert built == 82
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == (
+        "3a73bd20cc452934b8aad9e221646a9ba43b61f187b5c34b14837be699c4be14")
+
+
+def test_second_build_reads_every_connector_polar_from_the_cache(
+        monkeypatch):
+    calls = []
+    polar_cone = geometry.polar_cone
+    monkeypatch.setattr(geometry, "_polar_tables", {})
+    monkeypatch.setattr(geometry, "polar_cone", lambda *a, **kw: (
+        calls.append(a) or polar_cone(*a, **kw)))
+    first = build_zero_separating_curve_2d(MIXED, 0.8)
+    assert calls
+    calls.clear()
+    second = build_zero_separating_curve_2d(MIXED, 0.8)
+    assert calls == []
+    assert second.to_json_dict() == first.to_json_dict()
+
+
+@pytest.mark.parametrize("arr,delta", [(TWO, 0.5), (MIXED, 0.8)],
+                         ids=["TWO", "MIXED"])
+def test_connector_polar_is_that_of_the_normals_turned_to_the_probe(
+        monkeypatch, arr, delta):
+    # each connector locates its probe at delta 0 and reads the cache at
+    # the negated sign row; the polar it gets is, bit for bit, the polar of
+    # the normals s n with s = copysign(1, n . probe)
+    probes, polars = [], []
+
+    def locate_spy(arr_, X, d):
+        if d == 0.0:
+            probes.append(np.array(X))
+        return geometry.locate_cell(arr_, X, d)
+
+    def polars_spy(*args):
+        got = geometry.cell_polars(*args)
+        polars.append(got[0][0])
+        return got
+    monkeypatch.setattr(surfaces, "locate_cell", locate_spy)
+    monkeypatch.setattr(surfaces, "cell_polars", polars_spy)
+    build_zero_separating_curve_2d(arr, delta)
+    assert probes and len(probes) == len(polars)
+    normals = arr.normal_matrix()
+    for probe, got in zip(probes, polars):
+        assert np.all(geometry.locate_cell(arr, probe, 0.0) != 0)
+        s = np.array([math.copysign(1.0, float(n @ probe)) for n in normals])
+        want = geometry.polar_cone(s[:, None] * normals, dim=2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- randomized construction suite --------------------------------------
