@@ -653,6 +653,42 @@ def test_corpus_curves_match_golden_digests(name):
     assert digest == GOLDEN_CURVE_DIGESTS[name]
 
 
+# sha256 of the newline-joined repr of one network's per-schedule crossing
+# minima over eps 0.9, 0.5 and 0.1, in the benchmark's shape (curve scale
+# 1e-3, 4 schedules, horizon 50, rtol 1e-6, atol 1e-9), recorded before the
+# integrator's inner loop was rewritten.  rev_triangle_db and
+# rev_triangle_skew differ only in their stored rates, which random
+# schedules replace.  Like the integrator's golden digests they pin numpy
+# 2.4 float64 results on x86-64 with AVX-512.
+GOLDEN_CROSSING_DIGESTS = {
+    "rev_pair": "e3bcb8e25d61e66579d6cb7cc202e57f6b64b5ebca5b330f7a4334d75bbc650a",
+    "triangle": "d5ddd7fbb1f944053407ad6b609b61d38f6a09622ee9c0baf788a788fcbf32ec",
+    "rev_triangle_db": "0d47b69e1f648c0378e8a7f8475f378641683624303cfc3fef60c9c410524bb2",
+    "rev_triangle_skew": "0d47b69e1f648c0378e8a7f8475f378641683624303cfc3fef60c9c410524bb2",
+    "two_triangles_vertex": "1f9af95f2462ef9e2c78859a4b84d233c527dc5b266039c1a7f590fff932720e",
+    "two_triangles_edge": "a859af0bf4e807842c8161c2a742e75f88a56229a14aa38991b8ac910594292d",
+    "square": "4ae0dc49835cc8e1e27495d9022201e3f65a7d3bd575d1508972442f9395ef75",
+    "powerlaw_pair": "753eafd36842d6f21e0a34141e79cf8fc0f8904835bce61429a5a24d3da7a9e3",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CROSSING_DIGESTS)
+def test_corpus_crossing_minima_match_golden_digests(name):
+    net = load(name)
+    parts = []
+    for eps in (0.9, 0.5, 0.1):
+        band = RateBand(eps)
+        emb = build_embedding(net, band)
+        curve = build_zero_separating_curve_2d(emb.arrangement, emb.delta0,
+                                               scale=1e-3)
+        rep = trajectory_crossing_test(
+            curve, net, band, n_schedules=4, horizon=50.0, seed=0,
+            opts=IntegratorOptions(rtol=1e-6, atol=1e-9))
+        parts.append(repr(rep.per_schedule))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == GOLDEN_CROSSING_DIGESTS[name]
+
+
 def test_svg_render_smoke():
     curve = build_zero_separating_curve_2d(TWO, 0.5)
     svg = curve_to_svg(curve, TWO)
