@@ -26,23 +26,24 @@ propagates the 4th-order solution and controls the step with the embedded
 5th-order estimate; ``IntegratorOptions`` sets only its relative and
 absolute tolerances.  Each piece starts with a step of 1/64 of its length.
 Steps that would leave the open positive orthant are halved, never
-clamped.  A row fails with :class:`StepSizeUnderflow` when its step falls
-below ``_H_MIN`` or when it has taken ``_MAX_STEPS`` steps without reaching
-the horizon.  ``integrate`` advances every row of a (B, n) start batch
-together; a single start is the B = 1 case.  Each row runs the schedule's
-pieces on its own clock: it enters its next piece as soon as it ends the
-last one, so a batch takes as many steps as its slowest row.  A row keeps
-its own piece, rates, time, step size, accept/reject decision, positivity
-halvings, minimum-step and step-budget checks, and conserved residual; a
-row that fails stops alone.  The step-size factor ``0.9 * err ** -0.2`` is
-computed per row with Python floats: numpy's vectorised power differs from
-the scalar one in the last bit for some arguments (about 5% of them with
-AVX-512 kernels), so a factor that depended on the batch layout would make
-a row differ from its B = 1 run.  ``integrate`` checks the horizon, starts
+clamped.  A row whose step falls below ``_H_MIN`` fails with
+:class:`FieldNotFinite` if the field is not finite at its state or at the
+Euler point of that step, else with :class:`StepSizeUnderflow`, as after
+``_MAX_STEPS`` steps.  ``integrate`` advances the rows of a (B, n) start
+batch together, each through the schedule's pieces on its own clock, so a
+batch takes as many steps as its slowest row; a failing row stops alone.
+A row's time, piece end, edge, step size and accept/reject decision are
+Python floats; numpy holds only states, rates and error norms.  numpy's
+vectorised power differs from the scalar one in the last bit for some
+arguments (about 5% with AVX-512 kernels), so a step factor ``0.9 * err **
+-0.2`` computed in numpy would make a row differ from its B = 1 run.  A
+step decides once, over all its stage arguments, which rows left the
+orthant; such a row comes back NaN whatever its later stages made of the
+point outside.  One ``np.errstate`` around the whole row loop keeps their
+warnings, and those of overflowing monomials, inside ``integrate``; one
+per step would cost about 2 us.  ``integrate`` checks the horizon, starts
 and schedules, and a row entering a piece its rates (out of band fails the
-row, non-positive raises ``ValueError``); the inner loop checks nothing, as
-accepted states are positive and no stage argument outside the orthant
-reaches the field.
+row, non-positive raises ``ValueError``).
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class RateOutOfBand(InputError):
 
 
 class StepSizeUnderflow(CheckFailed):
+    pass
+
+
+class FieldNotFinite(CheckFailed):
     pass
 
 
@@ -244,22 +249,25 @@ _USES = [np.array([c[j] for c in _SUMS[j:]])[:, None, None] for j in range(6)]
 def _rkf_step(kin, rates, x, h):
     """4th- and 5th-order Fehlberg solutions of each positive row of ``x``
     with its ``rates`` row and step ``h`` (a column); both NaN for a row
-    whose stage argument or x4 leaves the orthant (later stages then take
-    ``x``).  Each sum adds its terms in tableau order, as a term-by-term
-    sum would."""
-    acc, arg, left = np.zeros((7, *x.shape)), x, None
+    whose stage argument leaves the orthant.  The inlined field skips the
+    ``+ 0.0``: ``acc`` rows start at +0.0, which a -0.0 term leaves as it
+    is.  Each sum adds its terms in tableau order, as a term-by-term sum
+    would."""
+    if not kin.D.size:
+        return x, x  # no edges: the field is zero
+    h = h.repeat(x.shape[1], axis=1)  # full width: no broadcast below
+    Ys, D, k = kin.Ys, kin.D, rates[:, :, None]
+    acc, args, arg = np.zeros((7, *x.shape)), np.empty((5, *x.shape)), x
     for j, uses in enumerate(_USES):
-        acc[j:] += uses * _field(kin, rates, arg)
-        arg = x + h * acc[j]  # the next stage's argument, then x4
-        out = arg <= 0.0
-        if np.count_nonzero(out):
-            rows = out.any(axis=1)
-            left = rows if left is None else left | rows
-            arg = np.where(left[:, None], x, arg)
-    x5 = x + h * acc[6]
-    if left is not None:  # skips two masked writes on most steps
-        arg[left] = x5[left] = np.nan
-    return arg, x5
+        mono = np.multiply.reduce(arg[:, None, :] ** Ys, axis=2, keepdims=True)
+        acc[j:] += uses * np.add.accumulate(k * mono * D, axis=1)[:, -1]
+        if j < 5:  # the next stage's argument
+            arg = np.add(x, h * acc[j], out=args[j])
+    x4, x5 = x + h * acc[5], x + h * acc[6]
+    if np.count_nonzero(out := args <= 0.0):  # one orthant decision
+        left = out.any(axis=(0, 2))
+        x4[left] = x5[left] = np.nan
+    return x4, x5
 
 
 def _row_schedules(net: ReactionNetwork, rates_or_schedule,
@@ -296,8 +304,7 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
     cut at its own breakpoints), and returns a list with one entry per row:
     its :class:`Trajectory`, or the exception that stopped that row alone.
     """
-    if opts is None:
-        opts = IntegratorOptions()
+    opts = opts or IntegratorOptions()
     if not (t_end > 0.0) or not math.isfinite(t_end):
         raise InvalidHorizon(f"horizon must be positive and finite, got {t_end}")
     x0 = np.asarray(x0, dtype=float)
@@ -329,55 +336,68 @@ def _pieces(sched: RateSchedule, t_end: float):
             yield t0, t1, edge, (t1 - t0) / 64, k
 
 
+def _underflow(kin, k, x, h, t) -> CheckFailed:
+    """FieldNotFinite, naming the first edge whose term takes the running
+    sum out of the floats, if the field is not finite at ``x`` or at the
+    positive Euler point x + h f(x); else StepSizeUnderflow for ``h``."""
+    for y in (x, x + h * _field(kin, k, x[None])[0]):
+        sums = np.add.accumulate(flows(kin, k, y)[:, None] * kin.D)
+        if (y > 0.0).all() and (bad := ~np.isfinite(sums).all(axis=1)).any():
+            return FieldNotFinite(f"field not finite from edge {bad.argmax()}"
+                                  f" at x={y.tolist()} within {h} of t={t}")
+    return StepSizeUnderflow(f"step {h} below minimum at t={t}")
+
+
 def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     """Each row's Trajectory, or the exception that stopped that row."""
     kin, B = net.kinetics, len(starts)
     failed: list[Exception | None] = [None] * B
     log = [(np.arange(B), np.zeros(B), starts)]  # accepted (rows, t, x) blocks
     pieces = [_pieces(sched, t_end) for sched in schedules]
-    # running rows: ids, states, times, piece ends and edges, step sizes and
-    # rates; all enter a piece at once, so each has taken ``steps`` steps
-    w, xw, done = np.arange(B), starts, np.ones(B, dtype=bool)
-    tw, t1w, ew, hw = np.zeros((4, B))
-    kw, steps = np.empty((B, len(kin.k))), 0
-    while True:
-        for i in done.nonzero()[0]:  # enter the next piece, or finish
-            try:
-                piece = next(pieces[w[i]], None)
-            except RateOutOfBand as exc:
-                failed[w[i]], piece = exc, None
-            if piece is not None:
-                tw[i], t1w[i], ew[i], hw[i], kw[i] = piece
-                done[i] = False
-        rest = t1w - tw
-        last = hw >= rest
-        hs = np.where(last, rest, hw)
-        over = steps > _MAX_STEPS
-        stop = ~done & (over | (hs < _H_MIN))
-        for i in stop.nonzero()[0]:
-            failed[w[i]] = StepSizeUnderflow(
-                "step budget exhausted" if over else
-                f"step {float(hs[i])} below minimum at t={float(tw[i])}")
-        if np.count_nonzero(gone := done | stop):
-            w, xw, tw, t1w, ew, hw, kw, last, hs = (a[~gone] for a in (
-                w, xw, tw, t1w, ew, hw, kw, last, hs))
-        if not w.size:
-            break
-        steps += 1
-        x4, x5 = _rkf_step(kin, kw, xw, hs[:, None])
-        good = (x4 > 0.0).all(axis=1)  # the step stayed in the orthant
-        scale = opts.atol + opts.rtol * np.maximum(xw, x4)  # both > 0 or NaN
-        err = (np.abs(x5 - x4) / scale).max(axis=1)
-        # Python floats: numpy's vector power rounds differently
-        hw = hs * np.array([
-            0.5 if not g else max(0.2, 0.9 * e ** -0.2) if e > 1.0
-            else min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))
-            for e, g in zip(err.tolist(), good.tolist())])
-        ok = good & ~(err > 1.0)
-        tw = np.where(ok, np.where(last, t1w, tw + hs), tw)
-        xw = np.where(ok[:, None], x4, xw)
-        log.append((w[ok], tw[ok], xw[ok]))
-        done = ~(t1w - tw > ew)
+    # running rows: ids, states, rates; Python floats for times, piece ends
+    # and edges, step sizes.  Each has taken ``steps`` steps
+    w, xw, kw, steps = np.arange(B), starts, np.empty((B, len(kin.k))), 0
+    tw, t1w, ew, hw = ([0.0] * B for _ in range(4))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            keep, hs, over = [], [], steps > _MAX_STEPS
+            for i in range(len(w)):
+                if not t1w[i] - tw[i] > ew[i]:  # enter the next piece or end
+                    try:
+                        piece = next(pieces[w[i]], None)
+                    except RateOutOfBand as exc:
+                        failed[w[i]], piece = exc, None
+                    if piece is None:
+                        continue
+                    tw[i], t1w[i], ew[i], hw[i], kw[i] = piece
+                if over or (h := min(hw[i], t1w[i] - tw[i])) < _H_MIN:
+                    failed[w[i]] = StepSizeUnderflow("step budget exhausted") \
+                        if over else _underflow(kin, kw[i], xw[i], h, tw[i])
+                else:
+                    keep.append(i)
+                    hs.append(h)
+            if len(keep) < len(w):
+                w, xw, kw = w[keep], xw[keep], kw[keep]
+                tw, t1w, ew = ([a[i] for i in keep] for a in (tw, t1w, ew))
+            if not keep:
+                break
+            steps += 1
+            x4, x5 = _rkf_step(kin, kw, xw, np.array(hs)[:, None])
+            lows = x4.min(axis=1).tolist()  # > 0: x4 stayed in the orthant
+            scale = opts.atol + opts.rtol * np.maximum(xw, x4)
+            err = (np.abs(x5 - x4) / scale).max(axis=1).tolist()
+            hw, ok = [], []
+            for i, (e, low, h) in enumerate(zip(err, lows, hs)):
+                # Python floats: numpy's vector power rounds differently
+                hw.append(h * (0.5 if not low > 0.0 else
+                               max(0.2, 0.9 * e ** -0.2) if e > 1.0 else
+                               min(5.0, max(0.2, 0.9 * (e + 1e-16) ** -0.2))))
+                ok.append(low > 0.0 and not e > 1.0)
+                if ok[i]:  # a step as long as the rest lands on the piece end
+                    tw[i] = t1w[i] if h == t1w[i] - tw[i] else tw[i] + h
+            sel = slice(None) if all(ok) else np.array(ok)  # masks on a reject
+            xw = x4 if all(ok) else np.where(sel[:, None], x4, xw)
+            log.append((w[sel], np.array(tw)[sel], xw[sel]))
 
     rows, ts, xs = (np.concatenate(c) for c in zip(*log))
     order = np.argsort(rows, kind="stable")

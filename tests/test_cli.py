@@ -345,10 +345,6 @@ SMALL_RUNS = {
     "persist": ("--trials", "3", "--horizon", "2"),
     "gac": ("--trials", "3", "--horizon", "2"),
 }
-MONOMIAL_OVERFLOW = pytest.mark.xfail(
-    strict=True, raises=RuntimeWarning,
-    reason="dynamics.flows overflows in x ** Ys; log-space monomials would "
-           "fix it but change integrated bits")
 
 
 # eps near 1 sends delta0 to 0, the strict edge of the band rule
@@ -356,10 +352,7 @@ NEAR_ONE = ("1.0", "0.999999999999")
 
 
 @pytest.mark.parametrize("network,command,epsilon", [
-    *(pytest.param(network, command, None, id=f"{network}-{command}",
-                   marks=MONOMIAL_OVERFLOW
-                   if network in ("huge_exponent", "mixed_exponents")
-                   and command in ("persist", "gac") else ())
+    *(pytest.param(network, command, None, id=f"{network}-{command}")
       for network in HOSTILE for command in SMALL_RUNS),
     *(pytest.param(network, command, eps, id=f"{network}-{command}-eps{eps}")
       for network in EMBEDDING_CORPUS

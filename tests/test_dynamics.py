@@ -8,6 +8,7 @@ frozen against it or against a hand-computed field value.
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from toric_gac.corpus import NETWORK_TEXTS, load
 from toric_gac.dynamics import (
     DimensionMismatch,
     EmptyTrajectory,
+    FieldNotFinite,
     IntegratorOptions,
     InvalidHorizon,
     RateBand,
@@ -444,6 +446,94 @@ def test_batched_rows_follow_the_scalar_controller():
             times, states = scalar_rkf45(net, sched, x0, 20.0, 1e-6, 1e-9)
             assert np.array_equal(traj.times, times), name
             assert np.array_equal(traj.states, states), name
+
+
+def stage_arguments(net, x, h):
+    """Oracle: the Fehlberg stage arguments of one state and step, up to
+    the first that leaves the orthant."""
+    args, ks = [], []
+    for a in FEHLBERG:
+        args.append(x + h * sum(c * k for c, k in zip(a, ks)) if a else x)
+        if (args[-1] <= 0.0).any():
+            break
+        ks.append(mass_action_field(net, None, args[-1]))
+    return args
+
+
+def test_a_row_leaving_at_an_intermediate_stage_is_halved_alone(
+        monkeypatch):
+    # powerlaw_pair has exponents 0.5 and 1.5: the stages after the one
+    # that leaves take square roots of negative numbers; that row must come
+    # back NaN, be halved, and leave the other rows as their B = 1 runs
+    net = load("powerlaw_pair")
+    starts = np.array([[1.0, 1.0], [100.0, 1.0], [2.0, 0.5]])
+    h = 6.0 / 64.0  # the first step of a run to t = 6
+    # row 1 leaves at its fifth stage; rows 0 and 2 stay inside
+    assert [len(stage_arguments(net, x, h)) for x in starts] == [6, 5, 6]
+    calls = []
+    step = dynamics._rkf_step
+
+    def recorded(kin, rates, x, hs):
+        x4, x5 = step(kin, rates, x, hs)
+        calls.append((x, hs[:, 0].tolist(), x4))
+        return x4, x5
+
+    monkeypatch.setattr(dynamics, "_rkf_step", recorded)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = integrate(net, None, starts, 6.0)
+    assert np.geterr() == before
+    (x, hs, x4), (x_next, hs_next, _) = calls[:2]
+    assert np.isnan(x4[1]).all() and not np.isnan(x4[[0, 2]]).any()
+    assert hs[1] == h and hs_next[1] == 0.5 * h
+    assert np.array_equal(x_next[1], starts[1])
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singles = single_runs(net, [None] * 3, starts, 6.0)
+    assert_same_rows(batch, singles)
+
+
+# 1e300 A <-> B: x_A ** 1e300 overflows for x_A > 1
+HUGE_EXPONENT = "species A B\n1e300 A <-> B ; kf=1 kr=1\n"
+MIXED_EXPONENTS = "species A B\n60 A + 3 B <-> B ; kf=2 kr=0.5\n" \
+                  "B <-> 40 A ; kf=1 kr=3\n"
+
+
+def test_a_field_beyond_the_floats_fails_its_row_by_name():
+    net = parse_network(HUGE_EXPONENT)
+    starts = np.array([[6.4, 2.8], [0.5, 0.25]])
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = integrate(net, None, starts, 1.0)
+        with pytest.raises(FieldNotFinite, match="from edge 0 at x=.6.4, "):
+            integrate(net, None, starts[0], 1.0)
+    assert np.geterr() == before
+    assert all(isinstance(row, FieldNotFinite) for row in rows)
+    # not finite at the start itself
+    assert str(rows[0]).startswith("field not finite from edge 0 at "
+                                   "x=[6.4, 2.8] within ")
+    # finite at (0.5, 0.25), x_A ** 1e300 == 0, but one step of d x_A / dt
+    # = 2.5e299 below the minimum step reaches x_A > 1
+    assert math.isfinite(mass_action_field(net, None, starts[1]).sum())
+    x_a = float(str(rows[1]).split("x=[")[1].split(",")[0])
+    assert 1.0 < x_a < math.inf
+    # a finite field whose Euler point leaves the orthant: too stiff only
+    net = parse_network(MIXED_EXPONENTS)
+    rows = integrate(net, None, np.array([[6.4, 2.8], [0.5, 0.25]]), 1.0)
+    assert isinstance(rows[0], StepSizeUnderflow)
+    assert isinstance(rows[1], Trajectory)
+    assert np.geterr() == before
+    # a call that raises restores the caller's settings too
+    sched = RateSchedule(np.array([0.0, 0.5]),
+                         np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with np.errstate(over="raise", invalid="warn"):
+        inner = np.geterr()
+        with pytest.raises(ValueError, match="strictly positive"):
+            integrate(load("rev_pair"), sched, [2.0, 1.0], 1.0)
+        assert np.geterr() == inner
 
 
 # sha256 of the concatenated times, states and conserved residuals of ten
