@@ -249,18 +249,17 @@ _USES = [np.array([c[j] for c in _SUMS[j:]])[:, None, None] for j in range(6)]
 def _rkf_step(kin, rates, x, h):
     """4th- and 5th-order Fehlberg solutions of each positive row of ``x``
     with its ``rates`` row and step ``h`` (a column); both NaN for a row
-    whose stage argument leaves the orthant.  The inlined field skips the
-    ``+ 0.0``: ``acc`` rows start at +0.0, which a -0.0 term leaves as it
-    is.  Each sum adds its terms in tableau order, as a term-by-term sum
-    would."""
+    whose stage argument leaves the orthant.  The field's edge sums skip
+    ``_field``'s ``+ 0.0``: ``acc`` rows start at +0.0, which a -0.0 term
+    leaves as it is.  Each sum adds its terms in tableau order, as a
+    term-by-term sum would."""
     if not kin.D.size:
         return x, x  # no edges: the field is zero
     h = h.repeat(x.shape[1], axis=1)  # full width: no broadcast below
-    Ys, D, k = kin.Ys, kin.D, rates[:, :, None]
     acc, args, arg = np.zeros((7, *x.shape)), np.empty((5, *x.shape)), x
     for j, uses in enumerate(_USES):
-        mono = np.multiply.reduce(arg[:, None, :] ** Ys, axis=2, keepdims=True)
-        acc[j:] += uses * np.add.accumulate(k * mono * D, axis=1)[:, -1]
+        terms = flows(kin, rates, arg)[:, :, None] * kin.D
+        acc[j:] += uses * np.add.accumulate(terms, axis=1)[:, -1]
         if j < 5:  # the next stage's argument
             arg = np.add(x, h * acc[j], out=args[j])
     x4, x5 = x + h * acc[5], x + h * acc[6]
@@ -304,7 +303,8 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
     cut at its own breakpoints), and returns a list with one entry per row:
     its :class:`Trajectory`, or the exception that stopped that row alone.
     """
-    opts = opts or IntegratorOptions()
+    if opts is None:
+        opts = IntegratorOptions()
     if not (t_end > 0.0) or not math.isfinite(t_end):
         raise InvalidHorizon(f"horizon must be positive and finite, got {t_end}")
     x0 = np.asarray(x0, dtype=float)
