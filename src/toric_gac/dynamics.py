@@ -7,10 +7,10 @@ y_src(e)), accumulated left-to-right over the edge list so repeated runs
 reproduce bit-identical floating-point results.  The field reads the
 network's ``kinetics`` arrays: each monomial is a product along one row of
 ``Ys``, and ``np.add.accumulate`` sums the per-edge terms one edge at a
-time, as a loop adding them into a zero vector would; adding 0.0 to the sum
-then turns -0.0 into +0.0, as that zero vector does.  ``np.add.reduce``
-would not do: on a one-species network with eight or more edges it sums
-pairwise and changes the last bits.
+time, as a loop adding them into a zero vector would; ``mass_action_field``
+then adds 0.0, turning -0.0 into +0.0 as that zero vector does.
+``np.add.reduce`` would not do: on a one-species network with eight or
+more edges it sums pairwise and changes the last bits.
 
 Shapes.  A state is an (n,) vector and a batch is a (B, n) array; the field
 of a batch takes one shared (E,) rate vector or one (B, E) row of rates per
@@ -191,7 +191,7 @@ def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
         raise ValueError("state must be strictly positive")
     X = x.reshape(-1, n)
     k = _edge_rates(net, rates, len(X) if x.ndim == 2 else None)
-    out = _field(net.kinetics, k, X)
+    out = _field(net.kinetics, k, X) + 0.0  # +0.0: no -0.0
     return out if x.ndim == 2 else out[0]
 
 
@@ -201,11 +201,11 @@ def flows(kin, k: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _field(kin, k, X) -> np.ndarray:
-    """The field at each row of the (B, n) batch ``X``, unchecked."""
+    """Unchecked field at each row of the (B, n) batch ``X``; -0.0 kept."""
     if not kin.D.size:
         return np.zeros(X.shape)
     terms = flows(kin, k, X)[:, :, None] * kin.D
-    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0  # +0.0: no -0.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +249,13 @@ _USES = [np.array([c[j] for c in _SUMS[j:]])[:, None, None] for j in range(6)]
 def _rkf_step(kin, rates, x, h):
     """4th- and 5th-order Fehlberg solutions of each positive row of ``x``
     with its ``rates`` row and step ``h`` (a column); both NaN for a row
-    whose stage argument leaves the orthant.  The field's edge sums skip
-    ``_field``'s ``+ 0.0``: ``acc`` rows start at +0.0, which a -0.0 term
-    leaves as it is.  Each sum adds its terms in tableau order, as a
-    term-by-term sum would."""
-    if not kin.D.size:
-        return x, x  # no edges: the field is zero
+    whose stage argument leaves the orthant.  A -0.0 field entry changes no
+    sum: ``acc`` rows start at +0.0.  Each sum adds its terms in tableau
+    order, as a term-by-term sum would."""
     h = h.repeat(x.shape[1], axis=1)  # full width: no broadcast below
     acc, args, arg = np.zeros((7, *x.shape)), np.empty((5, *x.shape)), x
     for j, uses in enumerate(_USES):
-        terms = flows(kin, rates, arg)[:, :, None] * kin.D
-        acc[j:] += uses * np.add.accumulate(terms, axis=1)[:, -1]
+        acc[j:] += uses * _field(kin, rates, arg)
         if j < 5:  # the next stage's argument
             arg = np.add(x, h * acc[j], out=args[j])
     x4, x5 = x + h * acc[5], x + h * acc[6]
@@ -324,10 +320,11 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
 
 def _pieces(sched: RateSchedule, t_end: float):
     """The pieces of [0, t_end] cut at the schedule's breakpoints that are
-    longer than their edge, as (start, end, edge, first step, rates).  Each
-    piece looks its rates up (out of band raises :class:`RateOutOfBand`),
-    and one to be integrated needs them positive."""
-    cuts = [0.0, *sched.breakpoints_within(0.0, t_end), t_end]
+    longer than their edge, as Python floats (start, end, edge, first step)
+    and the piece's rates.  Each piece looks its rates up (out of band
+    raises :class:`RateOutOfBand`), and one to be integrated needs them
+    positive."""
+    cuts = [0.0, *sched.breakpoints_within(0.0, t_end).tolist(), float(t_end)]
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
         k, edge = sched.rates_at(t0), 1e-12 * max(1.0, abs(t1))
         if t1 - t0 > edge:
@@ -340,11 +337,13 @@ def _underflow(kin, k, x, h, t) -> CheckFailed:
     """FieldNotFinite, naming the first edge whose term takes the running
     sum out of the floats, if the field is not finite at ``x`` or at the
     positive Euler point x + h f(x); else StepSizeUnderflow for ``h``."""
-    for y in (x, x + h * _field(kin, k, x[None])[0]):
+    y = x
+    for _ in range(2):  # the state, then its Euler point
         sums = np.add.accumulate(flows(kin, k, y)[:, None] * kin.D)
         if (y > 0.0).all() and (bad := ~np.isfinite(sums).all(axis=1)).any():
             return FieldNotFinite(f"field not finite from edge {bad.argmax()}"
                                   f" at x={y.tolist()} within {h} of t={t}")
+        y = x + h * sums[-1]
     return StepSizeUnderflow(f"step {h} below minimum at t={t}")
 
 
