@@ -17,9 +17,8 @@ of a batch takes one shared (E,) rate vector or one (B, E) row of rates per
 state and returns (B, n).  A single state is the B = 1 case of the same
 code, so each row of a batch is bit-identical to a single-state call.
 
-Rate schedules are piecewise constant; when a schedule carries a
-:class:`RateBand`, every queried value must stay inside [epsilon,
-1/epsilon].
+Rate schedules are piecewise constant and checked when built: every value
+positive and finite (``_check_rates``) and inside its :class:`RateBand`.
 
 The integrator is one adaptive explicit Runge-Kutta-Fehlberg pair: it
 propagates the 4th-order solution and controls the step with the embedded
@@ -42,8 +41,9 @@ orthant; such a row comes back NaN whatever its later stages made of the
 point outside.  One ``np.errstate`` around the whole row loop keeps their
 warnings, and those of overflowing monomials, inside ``integrate``; one
 per step would cost about 2 us.  ``integrate`` checks the horizon, starts
-and schedules, and a row entering a piece its rates (out of band fails the
-row, non-positive raises ``ValueError``).
+and schedule widths before the first step; a row walks its schedule's
+pieces with no lookup and no input check, so a batch row never fails on an
+input error.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (CheckFailed, InputError, ReactionNetwork,
-                      stoichiometric_subspace)
+from .network import CheckFailed, InputError, ReactionNetwork
 
 
 class DimensionMismatch(InputError):
@@ -105,7 +104,7 @@ class RateSchedule:
     """Piecewise-constant per-edge rates.
 
     ``values[i]`` applies on [times[i], times[i+1]); the final row extends
-    to infinity.  ``times[0]`` must be 0.
+    to infinity.  ``times[0]`` must be 0.  Held as read-only copies.
     """
 
     times: np.ndarray
@@ -113,14 +112,20 @@ class RateSchedule:
     band: RateBand | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+        t = np.array(self.times, dtype=float)
+        v = np.atleast_2d(np.array(self.values, dtype=float))
         if t.ndim != 1 or t.size == 0 or t[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("breakpoints must increase strictly")
         if v.shape[0] != t.size:
             raise ValueError("one value row per breakpoint required")
+        _check_rates(v)
+        lo, hi = (self.band.lo, self.band.hi) if self.band else (0.0, np.inf)
+        if (out := ~((lo <= v) & (v <= hi)).all(axis=1)).any():
+            raise RateOutOfBand(
+                f"rates at t={t[out.argmax()]} leave [{lo}, {hi}]")
+        t.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -147,15 +152,18 @@ class RateSchedule:
         return self.values.shape[1]
 
     def rates_at(self, t: float) -> np.ndarray:
-        k = self.values[max(int(np.searchsorted(self.times, t, "right")) - 1, 0)]
-        if self.band is not None:
-            if np.any(k < self.band.lo) or np.any(k > self.band.hi):
-                raise RateOutOfBand(
-                    f"rates at t={t} leave [{self.band.lo}, {self.band.hi}]")
-        return k
+        return self.values[max(np.searchsorted(self.times, t, "right") - 1, 0)]
 
-    def breakpoints_within(self, t0: float, t1: float) -> np.ndarray:
-        return self.times[(self.times > t0) & (self.times < t1)]
+
+def _check_rates(rates: np.ndarray) -> np.ndarray:
+    """``rates`` if every entry (edges on the last axis) is positive and
+    finite."""
+    if (rates <= 0.0).any():
+        raise ValueError("rates must be strictly positive")
+    if (bad := np.flatnonzero(~np.isfinite(rates))).size:
+        raise InputError(f"rate of edge {bad[0] % rates.shape[-1]} is not "
+                         f"finite: {rates.flat[bad[0]]}")
+    return rates
 
 
 def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
@@ -170,12 +178,7 @@ def _edge_rates(net: ReactionNetwork, rates, rows: int | None = None
     if rates.shape != edges and (rows is None or rates.shape != (rows, *edges)):
         raise DimensionMismatch(
             f"expected {len(net.reactions)} rates, got shape {rates.shape}")
-    if (rates <= 0.0).any():
-        raise ValueError("rates must be strictly positive")
-    if (bad := np.flatnonzero(~np.isfinite(rates))).size:
-        raise InputError(f"rate of edge {bad[0] % rates.shape[-1]} is not "
-                         f"finite: {rates.flat[bad[0]]}")
-    return rates
+    return _check_rates(rates)
 
 
 def mass_action_field(net: ReactionNetwork, rates, x) -> np.ndarray:
@@ -217,18 +220,22 @@ _MAX_STEPS = 5_000_000  # step budget of one row
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    rtol: float = 1e-9
+    rtol: float = 1e-9  # finite, >= 0 and not both 0
     atol: float = 1e-12
+
+    def __post_init__(self):
+        tols = (self.rtol, self.atol)
+        if not all(0.0 <= tol < math.inf for tol in tols) or not any(tols):
+            raise InputError(f"tolerances must be finite, >= 0 and not both "
+                             f"0, got rtol={self.rtol}, atol={self.atol}")
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted sample points plus the worst observed drift of the
-    conserved (orthogonal-to-stoichiometric) coordinates."""
+    """Accepted sample times (T,) and states (T, n)."""
 
     times: np.ndarray
     states: np.ndarray
-    conserved_residual: float
 
 
 # Fehlberg 4(5) tableau
@@ -297,7 +304,7 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
     A (B, n) ``x0`` integrates B trajectories at once, under one shared
     rate vector or schedule or under a sequence of B schedules (each row is
     cut at its own breakpoints), and returns a list with one entry per row:
-    its :class:`Trajectory`, or the exception that stopped that row alone.
+    its :class:`Trajectory`, or the failed check that stopped it alone.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -321,15 +328,13 @@ def integrate(net: ReactionNetwork, rates_or_schedule, x0, t_end: float,
 def _pieces(sched: RateSchedule, t_end: float):
     """The pieces of [0, t_end] cut at the schedule's breakpoints that are
     longer than their edge, as Python floats (start, end, edge, first step)
-    and the piece's rates.  Each piece looks its rates up (out of band
-    raises :class:`RateOutOfBand`), and one to be integrated needs them
-    positive."""
-    cuts = [0.0, *sched.breakpoints_within(0.0, t_end).tolist(), float(t_end)]
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        k, edge = sched.rates_at(t0), 1e-12 * max(1.0, abs(t1))
-        if t1 - t0 > edge:
-            if (k <= 0.0).any():
-                raise ValueError("rates must be strictly positive")
+    and the piece's rates, which the schedule checked when it was built."""
+    ends = [*sched.times[1:].tolist(), math.inf]
+    for t0, t1, k in zip(sched.times.tolist(), ends, sched.values):
+        if t0 >= t_end:
+            return
+        t1 = min(t1, float(t_end))
+        if t1 - t0 > (edge := 1e-12 * max(1.0, abs(t1))):
             yield t0, t1, edge, (t1 - t0) / 64, k
 
 
@@ -362,11 +367,7 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
             keep, hs, over = [], [], steps > _MAX_STEPS
             for i in range(len(w)):
                 if not t1w[i] - tw[i] > ew[i]:  # enter the next piece or end
-                    try:
-                        piece = next(pieces[w[i]], None)
-                    except RateOutOfBand as exc:
-                        failed[w[i]], piece = exc, None
-                    if piece is None:
+                    if (piece := next(pieces[w[i]], None)) is None:
                         continue
                     tw[i], t1w[i], ew[i], hw[i], kw[i] = piece
                 if over or (h := min(hw[i], t1w[i] - tw[i])) < _H_MIN:
@@ -402,15 +403,7 @@ def _integrate_rows(net, schedules, starts, t_end, opts) -> list:
     order = np.argsort(rows, kind="stable")
     cut = np.cumsum(np.bincount(rows, minlength=B))[:-1]
     times, states = np.split(ts[order], cut), np.split(xs[order], cut)
-    basis, s = stoichiometric_subspace(net)
-    out: list = []
-    for r, exc in enumerate(failed):
-        drift = states[r] - starts[r]
-        perp = drift - (drift @ basis) @ basis.T
-        # a trivial orthogonal complement keeps an exact zero
-        resid = 0.0 if s == net.n else float(np.linalg.norm(perp, axis=1).max())
-        out.append(exc or Trajectory(times[r], states[r], resid))
-    return out
+    return [exc or Trajectory(t, x) for exc, t, x in zip(failed, times, states)]
 
 
 def persistence_metrics(traj: Trajectory) -> np.ndarray:

@@ -30,7 +30,6 @@ from .geometry import Arrangement, cell_cone, cell_polars, locate_cell
 from .network import CheckFailed, ReactionNetwork
 
 _SCALE_FLOOR = 1e-300
-_MAX_HALVINGS = 1000
 
 
 class BandsOverlap(CheckFailed):
@@ -281,7 +280,8 @@ def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
     """Curve at distance ~scale from the origin crossing every band of the
     arrangement once.  Each tentative chain is accepted only when
     ``verify_curve_exact`` passes it; otherwise, or when no valid chain
-    forms, the scale halves (up to 1000 times)."""
+    forms, the scale halves; once it falls below 1e-300, the builder
+    raises :class:`BandsOverlap`."""
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if not (0.0 < scale < 1.0):
@@ -290,7 +290,7 @@ def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
         if len(h.normal) != 2:
             raise ValueError("2D construction needs a 2D arrangement")
     s = scale
-    for _ in range(_MAX_HALVINGS):
+    while True:
         try:
             curve = _construct(arr, delta, s)
             if verify_curve_exact(curve, arr, delta).passed:
@@ -299,9 +299,8 @@ def build_zero_separating_curve_2d(arr: Arrangement, delta: float,
             pass
         s *= 0.5
         if s < _SCALE_FLOOR:
-            break
-    raise BandsOverlap(
-        f"bands still overlap after shrinking scale to {s}")
+            raise BandsOverlap(
+                f"bands still overlap after shrinking scale to {s}")
 
 
 # ---------------------------------------------------------------------------

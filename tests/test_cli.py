@@ -539,17 +539,18 @@ def test_format_offers_only_what_is_written(net_path, capsys, command):
 # -- README ---------------------------------------------------------------
 
 
-def readme_sh_lines() -> list[str]:
+def readme_blocks(language: str) -> list[str]:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
-    return [line for block in blocks for line in block.splitlines()]
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     """Every ``toric-gac`` line of the README exits 0 on ``.crn`` files
-    written from the corpus, and each one-line writer the README shows
-    writes a file that parses to the corpus network."""
-    lines = readme_sh_lines()
+    written from the corpus, each one-line writer the README shows writes
+    a file that parses to the corpus network, and each ``python`` block
+    runs in a fresh process."""
+    lines = [line for block in readme_blocks("sh")
+             for line in block.splitlines()]
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("toric-gac ")]
     writers = [line for line in lines if line.startswith("python -c ")]
@@ -569,3 +570,8 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
                                             encoding="utf-8")
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+    programs = readme_blocks("python")
+    assert programs
+    for program in programs:
+        subprocess.run([sys.executable, "-c", program], check=True,
+                       cwd=tmp_path, env=env)

@@ -31,11 +31,22 @@ from toric_gac.dynamics import (
     persistence_metrics,
 )
 from toric_gac.jsonio import csv_text
-from toric_gac.network import parse_network
+from toric_gac.network import (CheckFailed, InputError, parse_network,
+                               stoichiometric_subspace)
 
 
 def pair_closed_form(t):
     return 1.5 + 0.5 * math.exp(-2.0 * t)
+
+
+def conserved_drift(net, traj):
+    """Oracle: the largest distance of a state's drift from the start to
+    the stoichiometric subspace; an exact 0.0 when that subspace is all of
+    R^n."""
+    basis, s = stoichiometric_subspace(net)
+    drift = traj.states - traj.states[0]
+    perp = drift - (drift @ basis) @ basis.T
+    return 0.0 if s == net.n else float(np.linalg.norm(perp, axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +192,14 @@ def test_schedule_constructor_validation():
 
 
 def test_band_enforced_at_lookup():
+    # the band, corners included, is enforced when the schedule is built,
+    # so a lookup is plain
     band = RateBand(0.5)
-    sched = RateSchedule(np.array([0.0, 1.0]),
-                         np.array([[1.0], [3.0]]), band)
+    with pytest.raises(RateOutOfBand, match=r"t=1\.0 leave \[0\.5, 2\.0\]"):
+        RateSchedule(np.array([0.0, 1.0]), np.array([[1.0], [3.0]]), band)
+    sched = RateSchedule(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), band)
     assert sched.rates_at(0.5) == [1.0]
-    with pytest.raises(RateOutOfBand):
-        sched.rates_at(1.5)
+    assert sched.rates_at(1.5) == [2.0]
     with pytest.raises(ValueError):
         RateBand(0.0)
     with pytest.raises(ValueError):
@@ -202,6 +215,36 @@ def test_random_schedule_seeded_and_banded():
     assert np.array_equal(a.values, b.values)
     assert a.values.shape == (10, 3)
     assert np.all(a.values >= band.lo) and np.all(a.values <= band.hi)
+
+
+@pytest.mark.parametrize("rates, band, error", [
+    # nan < lo is False: no band lets NaN in
+    ([math.nan, 1.0], RateBand(0.5), InputError),
+    ([math.nan, 1.0], None, InputError),
+    ([math.inf, 1.0], None, InputError),
+    ([-math.inf, 1.0], None, ValueError),  # non-positive: as every layer
+    ([0.0, 1.0], None, ValueError),
+    ([-1.0, 1.0], RateBand(0.5), ValueError),
+    ([2.0 * (1.0 + 2.0 ** -52), 1.0], RateBand(0.5), RateOutOfBand),  # 1/eps+
+    ([0.5 * (1.0 - 2.0 ** -53), 1.0], RateBand(0.5), RateOutOfBand),  # eps-
+])
+def test_schedule_refuses_invalid_rates_when_built(rates, band, error):
+    with pytest.raises(error):
+        RateSchedule.constant(rates, band)
+    with pytest.raises(error):  # in a later piece too
+        RateSchedule(np.array([0.0, 1.0]), np.array([[1.0, 1.0], rates]),
+                     band)
+
+
+def test_schedule_arrays_are_read_only_copies():
+    times, values = np.array([0.0, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])
+    sched = RateSchedule(times, values, RateBand(0.5))
+    times[1], values[1, 0] = 5.0, 0.0  # the caller's arrays stay theirs
+    assert sched.times.tolist() == [0.0, 1.0]
+    assert sched.values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+    for array in (sched.times, sched.values, sched.rates_at(0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +267,14 @@ def test_linear_invariant_preserved():
     # x1 + x2 is conserved; Runge-Kutta keeps linear invariants to roundoff
     net = load("rev_pair")
     traj = integrate(net, [1.0, 1.0], [2.0, 1.0], 10.0, TIGHT)
-    assert traj.conserved_residual <= 1e-12
+    assert conserved_drift(net, traj) <= 1e-12
+    assert np.max(np.abs(traj.states.sum(axis=1) - 3.0)) <= 1e-12
 
 
 def test_full_rank_network_has_zero_residual():
     net = load("triangle")  # stoichiometric subspace is all of R^2
     traj = integrate(net, None, [4.0, 2.0], 1.0)
-    assert traj.conserved_residual == 0.0
+    assert conserved_drift(net, traj) == 0.0
 
 
 def test_fehlberg_step_fourth_order():
@@ -246,6 +290,37 @@ def test_fehlberg_step_fourth_order():
             assert np.all(x > 0.0)
         errs.append(abs(x[0, 0] - pair_closed_form(1.0)))
     assert errs[0] / errs[1] >= 8.0
+
+
+def test_piece_end_is_hit_exactly():
+    # the last step starts at a with a + (t_end - a) != t_end: a step as
+    # long as the rest of the piece must land on the piece end itself
+    t_end = 0.9702012152638532
+    traj = integrate(load("triangle"), None,
+                     [0.5659205409099164, 2.302461912613399], t_end,
+                     IntegratorOptions(3.1281646168177007e-4, 1e-9))
+    a = float(traj.times[-2])
+    assert a == 0.46994121364342883 and a + (t_end - a) != t_end
+    assert traj.times[-1] == t_end
+
+
+@pytest.mark.parametrize("rtol, atol", [
+    (-1e-6, -1e-9),  # a negative error norm made the step factor complex
+    (0.0, 0.0),
+    (math.nan, 1e-9),
+    (1e-6, math.inf),
+    (-1e-6, 1e-9),
+])
+def test_integrator_options_refuse_bad_tolerances(rtol, atol):
+    with pytest.raises(InputError, match="tolerances"):
+        IntegratorOptions(rtol, atol)
+
+
+def test_integrator_options_take_one_zero_tolerance():
+    net = load("rev_pair")
+    for opts in (IntegratorOptions(0.0, 1e-9), IntegratorOptions(1e-6, 0.0)):
+        traj = integrate(net, [1.0, 1.0], [2.0, 1.0], 1.0, opts)
+        assert abs(traj.states[-1, 0] - pair_closed_form(1.0)) <= 1e-5
 
 
 def test_invalid_horizon():
@@ -308,24 +383,23 @@ def test_schedule_switch_hits_breakpoint_exactly():
 
 
 def test_band_violation_surfaces_during_integration():
-    net = load("rev_pair")
-    sched = RateSchedule(np.array([0.0, 1.0]),
-                         np.array([[1.0, 1.0], [30.0, 1.0]]),
-                         RateBand(0.5))
-    with pytest.raises(RateOutOfBand):
-        integrate(net, sched, [2.0, 1.0], 2.0)
+    # a second piece out of band is refused when the schedule is built,
+    # before any integration; without the band the same values integrate
+    values = np.array([[1.0, 1.0], [30.0, 1.0]])
+    with pytest.raises(RateOutOfBand, match="t=1.0"):
+        RateSchedule(np.array([0.0, 1.0]), values, RateBand(0.5))
+    traj = integrate(load("rev_pair"), RateSchedule(np.array([0.0, 1.0]),
+                                                    values), [2.0, 1.0], 2.0)
+    assert 1.0 in traj.times
 
 
 def test_nonpositive_schedule_rate_raises():
-    # rates are checked once per piece, not by each field evaluation; a
-    # zero rate in the second piece must still stop the whole call
-    net = load("rev_pair")
-    sched = RateSchedule(np.array([0.0, 1.0]),
-                         np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # rates are checked once, when the schedule is built, not by each
+    # field evaluation; a zero rate in the second piece is refused there
     with pytest.raises(ValueError, match="strictly positive"):
-        integrate(net, sched, [2.0, 1.0], 2.0)
+        RateSchedule(np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="strictly positive"):
-        integrate(net, [sched, sched], np.ones((2, 2)), 2.0)
+        integrate(load("rev_pair"), [1.0, 0.0], [2.0, 1.0], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +414,7 @@ def single_runs(net, schedules, starts, t_end, opts=None):
     for sched, x0 in zip(schedules, starts):
         try:
             out.append(integrate(net, sched, x0, t_end, opts))
-        except (StepSizeUnderflow, RateOutOfBand) as exc:
+        except CheckFailed as exc:
             out.append(exc)
     return out
 
@@ -354,7 +428,6 @@ def assert_same_rows(batch, singles):
         assert isinstance(got, Trajectory)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.states, want.states)
-        assert got.conserved_residual == want.conserved_residual
 
 
 def test_batched_rows_equal_single_runs_under_random_schedules():
@@ -402,9 +475,8 @@ def scalar_rkf45(net, schedule, x0, t_end, rtol, atol):
     the step-size factor computed in Python floats."""
     x = np.array(x0, dtype=float)
     times, states = [0.0], [x]
-    cuts = [0.0, *schedule.breakpoints_within(0.0, t_end), t_end]
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        k = schedule.rates_at(t0)
+    starts = [float(t) for t in schedule.times if t < t_end]
+    for t0, t1, k in zip(starts, starts[1:] + [t_end], schedule.values):
         t, h = t0, (t1 - t0) / 64.0
         while t1 - t > 1e-12 * max(1.0, abs(t1)):
             last = h >= t1 - t
@@ -501,7 +573,7 @@ MIXED_EXPONENTS = "species A B\n60 A + 3 B <-> B ; kf=2 kr=0.5\n" \
                   "B <-> 40 A ; kf=1 kr=3\n"
 
 
-def test_a_field_beyond_the_floats_fails_its_row_by_name():
+def test_a_field_beyond_the_floats_fails_its_row_by_name(monkeypatch):
     net = parse_network(HUGE_EXPONENT)
     starts = np.array([[6.4, 2.8], [0.5, 0.25]])
     before = np.geterr()
@@ -527,16 +599,18 @@ def test_a_field_beyond_the_floats_fails_its_row_by_name():
     assert isinstance(rows[1], Trajectory)
     assert np.geterr() == before
     # a call that raises restores the caller's settings too
-    sched = RateSchedule(np.array([0.0, 0.5]),
-                         np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def interrupted(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dynamics, "_rkf_step", interrupted)
     with np.errstate(over="raise", invalid="warn"):
         inner = np.geterr()
-        with pytest.raises(ValueError, match="strictly positive"):
-            integrate(load("rev_pair"), sched, [2.0, 1.0], 1.0)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            integrate(load("rev_pair"), None, [2.0, 1.0], 1.0)
         assert np.geterr() == inner
 
 
-# sha256 of the concatenated times, states and conserved residuals of ten
+# sha256 of the concatenated times, states and conserved drifts of ten
 # drifting rows per network, recorded before the integrator's inner loop was
 # rewritten.  The batch-vs-B=1 tests above run both sides through the same
 # code, so only fixed digests catch a change of the arithmetic itself.  They
@@ -571,7 +645,7 @@ def test_drifting_batches_match_golden_digests(seed, name):
                           IntegratorOptions(rtol=1e-6, atol=1e-9)):
         digests[0].update(traj.times.tobytes())
         digests[1].update(traj.states.tobytes())
-        digests[2].update(struct.pack("<d", traj.conserved_residual))
+        digests[2].update(struct.pack("<d", conserved_drift(net, traj)))
     assert tuple(d.hexdigest() for d in digests) == GOLDEN_DIGESTS[name]
 
 
@@ -632,26 +706,23 @@ def test_batch_steps_as_often_as_its_slowest_row(monkeypatch):
 
 
 def test_band_failure_in_a_later_piece_stops_only_its_row(monkeypatch):
+    # a rate that leaves the band in a later piece is refused when its
+    # schedule is built, so no row of a batch can fail on one mid-run
     net, schedules, starts = drifting_batch(51)
     bad = schedules[2]
     values = bad.values.copy()
     values[5, 0] = 2.0 * bad.band.hi  # piece 5 leaves the band
-    schedules[2] = RateSchedule(bad.times, values, bad.band)
-    singles = single_runs(net, schedules, starts, 50.0, DRIFT)
-    assert isinstance(singles[2], RateOutOfBand)
-    assert all(isinstance(t, Trajectory) for t in singles[:2] + singles[3:])
-    log = StepLog(monkeypatch)
-    assert_same_rows(integrate(net, schedules, starts, 50.0, DRIFT), singles)
-    # row 2 failed on entering piece 5 while no other row had entered it
-    asked = [sched for sched, _ in log.entries]
-    fail = [i for i, sched in enumerate(asked) if sched is schedules[2]][5]
-    assert fail < len(asked) - 1
-    assert all(asked[:fail].count(sched) <= 5 for sched in schedules)
-    # unbanded, a zero rate in a later piece of one row stops the whole call
-    unbanded = [RateSchedule(s.times, s.values.copy()) for s in schedules]
-    unbanded[1].values[6, 0] = 0.0
+    with pytest.raises(RateOutOfBand, match=f"t={bad.times[5]} leave"):
+        RateSchedule(bad.times, values, bad.band)
+    values[5, 0] = 0.0  # unbanded, a zero rate in a later piece
     with pytest.raises(ValueError, match="strictly positive"):
-        integrate(net, unbanded, starts, 50.0, DRIFT)
+        RateSchedule(bad.times, values)
+    # every row of a batch of valid schedules runs all of its pieces
+    log = StepLog(monkeypatch)
+    batch = integrate(net, schedules, starts, 50.0, DRIFT)
+    assert all(isinstance(t, Trajectory) for t in batch)
+    asked = [sched for sched, _ in log.entries]
+    assert all(asked.count(sched) == 9 for sched in schedules)
 
 
 def test_failing_rows_leave_the_other_rows_unchanged():
@@ -722,11 +793,11 @@ def test_batch_input_validation():
 def test_persistence_metrics_trailing_window():
     times = np.arange(10.0)
     states = np.column_stack([10.0 - times, np.full(10, 5.0)])
-    traj = Trajectory(times, states, 0.0)
+    traj = Trajectory(times, states)
     # ceil(0.2 * 10) = 2 trailing samples: x1 in {2, 1}, x2 = 5
     assert np.array_equal(persistence_metrics(traj), [1.0, 5.0])
     with pytest.raises(EmptyTrajectory):
-        persistence_metrics(Trajectory(np.zeros(0), np.zeros((0, 2)), 0.0))
+        persistence_metrics(Trajectory(np.zeros(0), np.zeros((0, 2))))
 
 
 def test_csv_export_round_trips_exactly():
